@@ -355,8 +355,14 @@ class LatticeBasis:
 
             data = json.loads(text)
             if isinstance(data, dict):
+                if "rows" not in data:
+                    raise ValueError("JSON basis object needs a \"rows\" key")
                 data = data["rows"]
-            return cls(tuple(tuple(int(v) for v in row) for row in data))
+            if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+                raise ValueError("JSON basis must be a list of rows, each a list of integers")
+            if not all(isinstance(v, int) and not isinstance(v, bool) for row in data for v in row):
+                raise ValueError("JSON basis entries must be integers")
+            return cls(tuple(tuple(row) for row in data))
         tokens = text.split()
         if not tokens:
             raise ValueError("empty basis file")

@@ -163,7 +163,6 @@ def _cmd_profile(args, config: CliConfig) -> int:
 def _cmd_search(args, config: CliConfig) -> int:
     options = SearchOptions(
         use_automorphism_reduction=not args.no_reduction,
-        worker_partitions=args.partitions,
         node_budget=args.budget,
     )
     if args.group is not None:
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive arm-set search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", help="restrict to one group instead of all of order 2n^2+2n+1")
-    p.add_argument("--partitions", type=int, default=1)
     p.add_argument("--budget", type=int, default=None, help="node budget (required for n >= 7)")
     p.add_argument("--no-reduction", action="store_true", help="disable automorphism reduction")
     p.add_argument("--json", action="store_true")

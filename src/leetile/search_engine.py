@@ -6,17 +6,24 @@ chooses pairs.  Every pair is represented by its lexicographically smaller
 member, and pairs are chosen in strictly increasing representative order,
 which removes all set-permutation symmetry.
 
-Pruning invariant: adding a pair only ever increases coefficients of the
-partial convolution square, and a valid final square carries coefficient at
-most 2 on every non-identity element and exactly 1 on the double of every
-arm.  A branch dies the moment a running coefficient exceeds the cap that
-the final set would have to satisfy.  A counting argument shows the caps
-are tight at full depth, so any surviving leaf is a solution; each reported
-set is still re-verified post hoc through the independent verifier.
+Packing invariant: the group order is odd, so doubling is a bijection.
+Off the identity, the convolution square A*A gains 2 on each sum a + b of
+two distinct arms and 1 on the double of each arm.  A valid final square
+carries at most 2 there and exactly 1 on every double, so the sums of
+distinct arms and the doubles must all be distinct elements.  Adding the
+pair {g, -g} to the arm set A is therefore legal exactly when A+g, A-g,
+{2g} and {-2g} are pairwise disjoint and miss every element already
+covered by earlier sums and doubles.  The engine skips the test of A+g
+against A-g: if a+g = b-g for arms a != b, then 2g = b + (-a) is already
+covered.  A counting argument shows the caps are tight at full depth, so
+any surviving leaf is a solution; each reported set is still re-verified
+post hoc through the independent verifier.
 
-Groups are flattened to integer-encoded elements with a precomputed
-addition table, so the group order must stay modest (a few thousand); the
-orders reachable by this search are far below that.
+Sets of elements are Python ints used as bitsets over the mixed-radix
+(lexicographic) element index.  Translating a set by g is one masked block
+rotation per invariant factor, so a search node is a few big-int shifts
+and ANDs, and each recursion level passes fresh ints down with nothing to
+undo.
 """
 
 from __future__ import annotations
@@ -30,29 +37,26 @@ from .abelian_groups import AbelianGroup, GroupElement, enumerate_groups
 from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
-_MAX_TABLE_ORDER = 4096
 _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
+# The translation masks and the per-pair double bitsets take about
+# order^2 / 8 bytes together (35 MB at this bound).
+_MAX_ORDER = 1 << 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOptions:
     """Knobs for ``search_group``/``search_all``.
 
     Automorphism reduction applies to cyclic groups only (multiplication by
-    units); for other groups the flag is ignored.  ``worker_partitions``
-    splits the top-level pair choices into independent slices whose merged
-    result is identical for every partition count.  ``node_budget`` caps
-    explored nodes; budgeted runs always traverse subtrees in canonical
-    order so the cut-off point does not depend on the partition count.
+    units); for other groups the flag is ignored.  ``node_budget`` caps
+    explored nodes; subtrees are always traversed in canonical order, so
+    the cut-off point is deterministic.
     """
 
     use_automorphism_reduction: bool = True
-    worker_partitions: int = 1
     node_budget: Optional[int] = None
 
     def __post_init__(self):
-        if self.worker_partitions < 1:
-            raise ValueError(f"worker_partitions must be >= 1, got {self.worker_partitions}")
         if self.node_budget is not None and self.node_budget < 0:
             raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
 
@@ -99,89 +103,40 @@ class _Abort(Exception):
     """Internal: node budget exhausted."""
 
 
-class _State:
-    __slots__ = ("add", "neg", "coeff", "is_square", "members", "chosen", "nodes", "budget")
+def _translator(group: AbelianGroup):
+    """Return ``steps(g)``: the ``(mask, up, down)`` block rotations that
+    translate a bitset by the element g, one per nonzero residue.
 
-    def __init__(self, add, neg, order, budget):
-        self.add = add
-        self.neg = neg
-        self.coeff = [0] * order
-        self.is_square = [False] * order
-        self.members = [0]  # identity is always an arm
-        self.chosen: list[int] = []
-        self.nodes = 0
-        self.budget = budget
-
-    def try_add(self, g: int):
-        """Place the pair {g, -g}; returns (ok, undo_log).  The caller must
-        undo regardless of ok."""
-        ng = self.neg[g]
-        coeff = self.coeff
-        log = []
-        row_g = self.add[g]
-        row_ng = self.add[ng]
-        for row in (row_g, row_ng):
-            for s in self.members:
-                h = row[s]
-                coeff[h] += 2
-                log.append(h)
-                log.append(h)  # two units, undone one at a time
-        dg = row_g[g]
-        dng = row_ng[ng]
-        coeff[dg] += 1
-        log.append(dg)
-        coeff[dng] += 1
-        log.append(dng)
-        squares_marked = []
-        for h in (dg, dng):
-            if not self.is_square[h]:
-                self.is_square[h] = True
-                squares_marked.append(h)
-        ok = True
-        is_square = self.is_square
-        for h in log:
-            if coeff[h] > (1 if is_square[h] else 2):
-                ok = False
-                break
-        if ok:
-            self.members.append(g)
-            self.members.append(ng)
-            self.chosen.append(g)
-        return ok, (log, squares_marked, ok)
-
-    def undo(self, undo_log):
-        log, squares_marked, ok = undo_log
-        if ok:
-            self.chosen.pop()
-            self.members.pop()
-            self.members.pop()
-        for h in squares_marked:
-            self.is_square[h] = False
-        coeff = self.coeff
-        for h in log:
-            coeff[h] -= 1
-
-
-def _encode(group: AbelianGroup):
+    Along a factor d with index stride s, translating by t moves the bits
+    whose residue is below d - t up by t*s and the others down by (d-t)*s;
+    ``mask`` selects the former.  It is one block pattern repeated by a
+    repunit, so building all masks costs O(d) big-int products per factor.
+    """
     order = group.order
-    if order > _MAX_TABLE_ORDER:
-        raise LeeTileError(
-            f"group order {order} too large for the table-driven search (max {_MAX_TABLE_ORDER})"
+    axes = []
+    stride = order
+    for d in group.invariant_factors:
+        stride //= d
+        block = d * stride
+        repunit = ((1 << order) - 1) // ((1 << block) - 1)
+        masks = [((1 << ((d - t) * stride)) - 1) * repunit for t in range(d)]
+        axes.append((d, stride, masks))
+
+    def steps(g: GroupElement) -> tuple:
+        return tuple(
+            (masks[t], t * stride, (d - t) * stride)
+            for t, (d, stride, masks) in zip(g, axes)
+            if t
         )
-    elems = list(group.elements())
-    index = {g: i for i, g in enumerate(elems)}
-    add = [[index[group.add(a, b)] for b in elems] for a in elems]
-    neg = [index[group.neg(g)] for g in elems]
-    return elems, add, neg
+
+    return steps
 
 
-def _cyclic_first_pair_whitelist(group: AbelianGroup, reps: list[int]) -> set[int]:
-    """Representatives allowed as the first (smallest) chosen pair under
-    unit-multiplication reduction: exactly those minimal in their own unit
-    orbit.  In Z_m the unit orbit of r is all elements with the same gcd
-    with m, so the orbit minimum is gcd(r, m) itself."""
-    m = group.order
-    return {r for r in reps if r == math.gcd(r, m)}
+def _translate(bits: int, steps: tuple) -> int:
+    for mask, up, down in steps:
+        low = bits & mask
+        bits = (low << up) | ((bits ^ low) >> down)
+    return bits
 
 
 def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bool:
@@ -204,10 +159,12 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
 
     Deterministic: elements are ordered lexicographically, pairs by their
     smaller member, and solutions are reported in canonical sorted order
-    with a node counter that is identical across runs and across
-    ``worker_partitions`` values.
+    with a node counter that is identical across runs.  One node is
+    counted per attempted pair.
     """
     opts = options or SearchOptions()
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
     expected = radius2_group_order(n)
     if group.order != expected:
         raise ValueError(f"group order {group.order} != {expected} = 2n^2+2n+1 for n={n}")
@@ -215,60 +172,60 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         raise ValueError(
             f"an explicit node_budget is required for n >= {_BUDGET_REQUIRED_FROM}"
         )
-    elems, add, neg = _encode(group)
-    reps = [i for i in range(1, group.order) if i < neg[i]]
-    reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and group.order > 1
-    whitelist = _cyclic_first_pair_whitelist(group, reps) if reduce_orbits else None
+    if group.order > _MAX_ORDER:
+        raise LeeTileError(f"group order {group.order} too large for the search (max {_MAX_ORDER})")
+    elems = list(group.elements())
+    index = group.element_index
+    steps = _translator(group)
+    pairs = []  # per representative: (g, -g, bits of {2g, -2g}, steps(g), steps(-g))
+    for i, e in enumerate(elems):
+        ne = group.neg(e)
+        j = index(ne)
+        if 0 < i < j:
+            doubles = (1 << index(group.add(e, e))) | (1 << index(group.add(ne, ne)))
+            pairs.append((i, j, doubles, steps(e), steps(ne)))
+    m = group.order
+    reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and m > 1
+    # Under unit multiplication the orbit of r in Z_m is every element with
+    # the same gcd with m, so only r == gcd(r, m) may be the first pair.
+    top = [k for k, p in enumerate(pairs) if not reduce_orbits or p[0] == math.gcd(p[0], m)]
 
-    top_indices = [
-        i for i in range(len(reps)) if whitelist is None or reps[i] in whitelist
-    ]
-    if opts.node_budget is None and opts.worker_partitions > 1:
-        k = opts.worker_partitions
-        buckets = [top_indices[p::k] for p in range(k)]
-    else:
-        # Budgeted runs consume the cap in canonical subtree order so the
-        # result does not depend on the partition count.
-        buckets = [top_indices]
-
-    state = _State(add, neg, group.order, opts.node_budget)
+    budget = math.inf if opts.node_budget is None else opts.node_budget
+    nodes = 0
     found: list[tuple[int, ...]] = []
-    exhausted = True
 
-    def dfs(start: int, remaining: int):
-        if remaining == 0:
-            found.append(tuple(state.chosen))
-            return
-        last = len(reps) - remaining
-        for idx in range(start, last + 1):
-            if state.budget is not None and state.nodes >= state.budget:
+    def place(candidates, remaining: int, arms: int, covered: int, chosen: tuple):
+        nonlocal nodes
+        for k in candidates:
+            if nodes >= budget:
                 raise _Abort
-            state.nodes += 1
-            ok, undo_log = state.try_add(reps[idx])
-            if ok:
-                dfs(idx + 1, remaining - 1)
-            state.undo(undo_log)
+            nodes += 1
+            g, ng, doubles, steps_g, steps_ng = pairs[k]
+            sums = _translate(arms, steps_g) | _translate(arms, steps_ng)
+            if sums & covered or doubles & (sums | covered):
+                continue
+            if remaining == 1:
+                found.append(chosen + (g, ng))
+            else:
+                # deeper levels stop where too few pairs remain; the top
+                # level does not, which the node counts depend on
+                place(
+                    range(k + 1, len(pairs) - remaining + 2),
+                    remaining - 1,
+                    arms | (1 << g) | (1 << ng),
+                    covered | sums | doubles,
+                    chosen + (g, ng),
+                )
 
+    exhausted = True
     try:
-        for bucket in buckets:
-            for ti in bucket:
-                if state.budget is not None and state.nodes >= state.budget:
-                    raise _Abort
-                state.nodes += 1
-                ok, undo_log = state.try_add(reps[ti])
-                if ok:
-                    dfs(ti + 1, n - 1)
-                state.undo(undo_log)
+        place(top, n, 1, 0, ())  # the identity (index 0) is always an arm
     except _Abort:
         exhausted = False
 
     solutions = []
     for sel in found:
-        indices = [0]
-        for g in sel:
-            indices.append(g)
-            indices.append(neg[g])
-        indices = tuple(sorted(indices))
+        indices = tuple(sorted((0,) + sel))
         if reduce_orbits and not _orbit_minimal(group, indices):
             continue
         solutions.append(tuple(elems[i] for i in indices))
@@ -284,7 +241,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         group=group,
         n=n,
         solutions=tuple(solutions),
-        nodes_explored=state.nodes,
+        nodes_explored=nodes,
         exhausted=exhausted,
     )
 

@@ -91,6 +91,15 @@ def test_verify_basis_reject(capsys, tmp_path):
     assert "collision" in out
 
 
+@pytest.mark.parametrize("text", ['{"x":1}', "[[1,null],[0,1]]", "[1]", '{"rows": 5}'])
+def test_verify_malformed_json_basis(capsys, tmp_path, text):
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    code, _, err = run(capsys, ["verify", "--basis", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_profile_json(capsys):
     code, data = run_json(
         capsys, ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8", "--k", "2"]
@@ -138,6 +147,14 @@ def test_search_text_and_json_agree(capsys):
     assert "Z13: 1 solution(s)" in out
     assert "0;1;5;8;12" in out
     assert len(data["outcomes"][0]["solutions"]) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_search_nonpositive_n(capsys, n):
+    code, out, err = run(capsys, ["search", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_certify_single_json(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from leetile import (
@@ -7,10 +9,12 @@ from leetile import (
     brute_force_search,
     check_conditions,
     TilingCandidate,
+    LeeTileError,
     enumerate_groups,
     search_all,
     search_group,
 )
+from leetile.search_engine import _translate, _translator
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -75,16 +79,6 @@ def test_search_all_n3_covers_both_groups():
     assert [o.group.invariant_factors for o in outcomes] == [(25,), (5, 5)]
 
 
-def test_deterministic_across_partition_counts():
-    reference = search_group(Z13, 2, SearchOptions(use_automorphism_reduction=False, worker_partitions=1))
-    for k in (2, 3, 5):
-        outcome = search_group(
-            Z13, 2, SearchOptions(use_automorphism_reduction=False, worker_partitions=k)
-        )
-        assert outcome.solutions == reference.solutions
-        assert outcome.nodes_explored == reference.nodes_explored
-
-
 def test_deterministic_across_runs():
     a = search_group(Z13, 2, NO_REDUCTION)
     b = search_group(Z13, 2, NO_REDUCTION)
@@ -128,9 +122,19 @@ def test_order_mismatch_rejected():
         search_group(Z5, 2)
 
 
-def test_options_validation():
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_dimension_rejected(n):
     with pytest.raises(ValueError):
-        SearchOptions(worker_partitions=0)
+        search_group(AbelianGroup(()), n)
+
+
+def test_options_frozen():
+    options = SearchOptions(node_budget=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.node_budget = 6
+
+
+def test_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(node_budget=-1)
 
@@ -138,3 +142,44 @@ def test_options_validation():
 def test_outcome_round_trip():
     outcome = search_group(Z13, 2, NO_REDUCTION)
     assert SearchOutcome.from_dict(outcome.to_dict()) == outcome
+
+
+# Node counts of the engine, per (n, group): one node per attempted pair.
+REDUCED_NODES = [
+    (1, (5,), 1), (2, (13,), 6), (3, (25,), 69), (3, (5, 5), 267),
+    (4, (41,), 316), (5, (61,), 2154), (6, (85,), 33083),
+]
+UNREDUCED_NODES = [
+    (1, (5,), 2), (2, (13,), 21), (3, (25,), 213), (3, (5, 5), 267),
+    (4, (41,), 1958), (5, (61,), 17440), (6, (85,), 169699),
+]
+
+
+@pytest.mark.parametrize(
+    "reduce, n, factors, nodes",
+    [(True, *case) for case in REDUCED_NODES] + [(False, *case) for case in UNREDUCED_NODES],
+)
+def test_node_counts_pinned(reduce, n, factors, nodes):
+    outcome = search_group(AbelianGroup(factors), n, SearchOptions(use_automorphism_reduction=reduce))
+    assert outcome.exhausted
+    assert outcome.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9)])
+def test_bitset_translation_matches_group_add(factors):
+    group = AbelianGroup(factors)
+    steps = _translator(group)
+    elems = list(group.elements())
+    for g in elems:
+        for a in elems:
+            moved = _translate(1 << group.element_index(a), steps(g))
+            assert moved == 1 << group.element_index(group.add(a, g))
+
+
+def test_group_order_limit():
+    # Z4141 (n = 45) is inside the memory bound, Z16745 (n = 91) above it
+    outcome = search_group(AbelianGroup((4141,)), 45, SearchOptions(node_budget=1000))
+    assert not outcome.exhausted
+    assert outcome.nodes_explored == 1000
+    with pytest.raises(LeeTileError):
+        search_group(AbelianGroup((16745,)), 91, SearchOptions(node_budget=1))
