@@ -20,6 +20,7 @@ from .errors import FactorizationError, SingularMatrixError
 GroupElement = tuple[int, ...]
 
 DEFAULT_TRIAL_BOUND = 10**6
+_RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofactor
 
 # Deterministic Miller-Rabin witness set, valid for all inputs < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -178,7 +179,7 @@ def _pollard_rho(m: int, seed: int) -> int:
     return d
 
 
-def factorize(m: int, *, trial_bound: int | None = None, rho_attempts: int = 64) -> dict[int, int]:
+def factorize(m: int, *, trial_bound: int | None = None) -> dict[int, int]:
     """Prime factorization of m >= 1 as {prime: exponent}.
 
     Trial division runs up to ``trial_bound`` (default 10**6).  A remaining
@@ -219,7 +220,7 @@ def factorize(m: int, *, trial_bound: int | None = None, rho_attempts: int = 64)
             continue
         if c > bound**4:
             raise FactorizationError(f"order too large to factor: cofactor {c} exceeds bound {bound}**4")
-        for attempt in range(1, rho_attempts + 1):
+        for attempt in range(1, _RHO_ATTEMPTS + 1):
             d = _pollard_rho(c, attempt)
             if 1 < d < c:
                 stack.extend((d, c // d))
@@ -353,7 +354,10 @@ class LatticeBasis:
         if stripped.startswith("[") or stripped.startswith("{"):
             import json
 
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except RecursionError:
+                raise ValueError("JSON basis is nested too deeply") from None
             if isinstance(data, dict):
                 if "rows" not in data:
                     raise ValueError("JSON basis object needs a \"rows\" key")

@@ -6,12 +6,14 @@ would force to satisfy q(n) <= 0, together with a threshold: for n above
 the threshold the certificate simply evaluates q(n) > 0 and records the
 contradiction, while the handful of dimensions at or below the threshold
 are settled by an embedded verdict table for 3 <= n <= 100 (or, on
-request, by re-running the exhaustive search).  Dimensions 1 and 2 get
+request, by re-running the exhaustive search, which settles n = 3 and 4
+and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
 existence certificates carrying the explicit constructions.
 
-The certificates are self-checking: re-evaluating the stored polynomial at
-the stored n reproduces the stored value, so an independent reader can
-re-verify every inequality with a calculator.
+A certificate is a pure function of n (and of whether the search fallback
+was asked for), so ``recheck`` derives it again from n alone and trusts no
+other field.  The stored polynomial and value still let a reader re-verify
+every inequality with a calculator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from .abelian_groups import AbelianGroup
 from .errors import LeeTileError
-from .search_engine import SearchOptions, SearchOutcome, search_all
+from .search_engine import _BUDGET_REQUIRED_FROM, search_all
 from .tiling_core import TilingCandidate, check_conditions
 
 JUSTIFICATION_INEQUALITY = "inequality"
@@ -53,6 +55,7 @@ class Branch:
     tiling forces q(n) <= 0, so q(n) > 0 certifies nonexistence.
     ``threshold`` is the largest n for which q alone yields no
     contradiction and the verdict table (or a search) takes over.
+    ``residues`` lists the (n mod 3, n mod 5) pairs the branch covers.
     """
 
     branch_id: str
@@ -60,18 +63,8 @@ class Branch:
     case: Optional[str]
     poly: tuple[int, int, int]
     threshold: int
-    r3: Optional[int] = None  # required n mod 3, None = any
-    r5: Optional[int] = None  # required n mod 5, None = any
+    residues: tuple[tuple[int, int], ...]
     note: Optional[str] = None
-
-    def applies_to(self, n: int) -> bool:
-        if self.r3 is not None and n % 3 != self.r3:
-            return False
-        if self.r5 is not None and n % 5 != self.r5:
-            return False
-        if self.branch_id == "mod5-0":
-            return n % 3 != 0  # the mod-3 branch takes those first
-        return True
 
     def evaluate(self, n: int) -> int:
         a, b, c = self.poly
@@ -89,7 +82,7 @@ _BRANCHES = (
         None,
         (1, -3, 0),
         3,
-        r3=0,
+        ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4)),
     ),
     Branch(
         "mod5-0",
@@ -98,7 +91,7 @@ _BRANCHES = (
         "top-class-size-cases",
         (1, -3, 0),
         3,
-        r5=0,
+        ((1, 0), (2, 0)),  # n divisible by 15 belongs to mod3-0
     ),
     Branch(
         "mod3-1-mod5-1",
@@ -106,8 +99,7 @@ _BRANCHES = (
         "mod5-1",
         (4, -64, 12),
         15,
-        r3=1,
-        r5=1,
+        ((1, 1),),
     ),
     Branch(
         "mod3-1-mod5-2",
@@ -115,8 +107,7 @@ _BRANCHES = (
         "mod5-2",
         (4, -16, -12),
         6,
-        r3=1,
-        r5=2,
+        ((1, 2),),
         note="no n >= 3 in this residue class lies at or below the threshold, so the "
         "table fallback is vacuous here",
     ),
@@ -126,8 +117,7 @@ _BRANCHES = (
         "mod5-3",
         (8, -50, -3),
         13,
-        r3=1,
-        r5=3,
+        ((1, 3),),
         note="conservative threshold: the quadratic alone bounds n <= 6, but every "
         "3 <= n <= 13 in this residue class is covered by the verdict table",
     ),
@@ -137,8 +127,7 @@ _BRANCHES = (
         "mod5-4",
         (2, -12, -1),
         6,
-        r3=1,
-        r5=4,
+        ((1, 4),),
     ),
     Branch(
         "mod3-2-mod5-1",
@@ -146,8 +135,7 @@ _BRANCHES = (
         "mod5-1",
         (2, -12, -1),
         6,
-        r3=2,
-        r5=1,
+        ((2, 1),),
     ),
     Branch(
         "mod3-2-mod5-2",
@@ -155,8 +143,7 @@ _BRANCHES = (
         "mod5-2",
         (2, -46, -6),
         23,
-        r3=2,
-        r5=2,
+        ((2, 2),),
     ),
     Branch(
         "mod3-2-mod5-3",
@@ -164,8 +151,7 @@ _BRANCHES = (
         "mod5-3",
         (10, -74, -3),
         7,
-        r3=2,
-        r5=3,
+        ((2, 3),),
     ),
     Branch(
         "mod3-2-mod5-4",
@@ -173,20 +159,19 @@ _BRANCHES = (
         "mod5-4",
         (4, -74, -3),
         18,
-        r3=2,
-        r5=4,
+        ((2, 4),),
     ),
 )
+
+
+_BRANCH_BY_RESIDUES = {pair: b for b in _BRANCHES for pair in b.residues}
 
 
 def branch_for(n: int) -> Branch:
     """The unique branch covering dimension n >= 3."""
     if n < 3:
         raise ValueError(f"branches cover n >= 3, got {n}")
-    matches = [b for b in _BRANCHES if b.applies_to(n)]
-    if len(matches) != 1:
-        raise LeeTileError(f"branch table defect: {len(matches)} branches match n={n}")
-    return matches[0]
+    return _BRANCH_BY_RESIDUES[n % 3, n % 5]
 
 
 def table_verdict(n: int) -> Optional[str]:
@@ -218,21 +203,12 @@ class NonexistenceCertificate:
     search: Optional[dict] = None
 
     def recheck(self) -> bool:
-        """Re-derive the certificate's decisive fact from its own fields."""
-        if self.justification == JUSTIFICATION_INEQUALITY:
-            a, b, c = self.poly
-            value = a * self.n * self.n + b * self.n + c
-            return value == self.evaluated_value and value > 0 and self.n > self.threshold
-        if self.justification == JUSTIFICATION_TABLE:
-            return table_verdict(self.n) == VERDICT_NONEXISTENT
-        if self.justification == JUSTIFICATION_SEARCH:
-            outcomes = [SearchOutcome.from_dict(d) for d in self.search["outcomes"]]
-            return all(o.exhausted and not o.solutions for o in outcomes)
-        if self.justification == JUSTIFICATION_WITNESS:
-            group = AbelianGroup(tuple(self.witness["group"]))
-            arms = tuple(tuple(g) for g in self.witness["arms"])
-            return check_conditions(TilingCandidate(group, self.n, arms)).accepted
-        return False
+        """Derive the certificate again from ``n`` alone (re-running the
+        search for a search certificate) and compare it with this one."""
+        try:
+            return certify(self.n, search_fallback=self.justification == JUSTIFICATION_SEARCH) == self
+        except Exception:
+            return False
 
     def to_dict(self) -> dict:
         return {
@@ -274,8 +250,7 @@ class NonexistenceCertificate:
         )
 
 
-def certify(n: int, *, search_fallback: bool = False,
-            search_options: Optional[SearchOptions] = None) -> NonexistenceCertificate:
+def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate:
     """Certificate for one dimension.
 
     n = 1, 2: existence with the explicit construction, re-verified here.
@@ -284,6 +259,8 @@ def certify(n: int, *, search_fallback: bool = False,
     verdict table (or, with ``search_fallback``, a completed exhaustive
     search) supplies the verdict.
     """
+    if type(n) is not int:  # 3.0 or True would otherwise pass for 3 or 1
+        raise TypeError(f"dimension must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     tags = (n % 3, n % 5)
@@ -330,7 +307,9 @@ def certify(n: int, *, search_fallback: bool = False,
             justification=JUSTIFICATION_INEQUALITY, evaluated_value=value, **common
         )
     if search_fallback:
-        outcomes = search_all(n, search_options)
+        if n >= _BUDGET_REQUIRED_FROM:
+            raise LeeTileError(f"search fallback cannot settle n={n}: search needs a node budget")
+        outcomes = search_all(n)
         if all(o.exhausted and not o.solutions for o in outcomes):
             return NonexistenceCertificate(
                 justification=JUSTIFICATION_SEARCH,
@@ -384,8 +363,7 @@ class CertificationSummary:
         )
 
 
-def certify_range(lo: int, hi: int, *, search_fallback: bool = False,
-                  search_options: Optional[SearchOptions] = None) -> CertificationSummary:
+def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> CertificationSummary:
     """Certificates for every n in [lo, hi], lo >= 3.  Any dimension that
     cannot be certified is recorded as a gap instead of being skipped."""
     if not 3 <= lo <= hi:
@@ -395,7 +373,7 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False,
     gaps = []
     for n in range(lo, hi + 1):
         try:
-            cert = certify(n, search_fallback=search_fallback, search_options=search_options)
+            cert = certify(n, search_fallback=search_fallback)
         except LeeTileError:
             gaps.append(n)
             continue

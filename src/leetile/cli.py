@@ -39,7 +39,6 @@ _ENV_FACTOR_BOUND = "LEETILE_FACTOR_BOUND"
 
 @dataclass(frozen=True)
 class CliConfig:
-    subcommand: str
     output_mode: str  # "text" | "json"
     factor_bound: Optional[int]
 
@@ -199,7 +198,11 @@ def _cmd_certify(args, config: CliConfig) -> int:
     if (args.n is None) == (args.range is None):
         raise ValueError("give exactly one of --n or --range")
     if args.n is not None:
-        cert = _certify(args.n, search_fallback=args.search_fallback)
+        try:
+            cert = _certify(args.n, search_fallback=args.search_fallback)
+        except LeeTileError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_GAP
         _emit(cert.to_dict(), config.output_mode == "json", _certificate_lines(cert))
         return EXIT_OK
     try:
@@ -282,7 +285,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = CliConfig(
-            subcommand=args.subcommand,
             output_mode="json" if getattr(args, "json", False) else "text",
             factor_bound=_factor_bound_from_env(),
         )

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import pytest
 
 from leetile import (
     AbelianGroup,
+    LeeTileError,
     NonexistenceCertificate,
     TilingCandidate,
     branch_for,
@@ -100,22 +104,61 @@ def test_open_cases_always_certified_by_inequality():
 
 def test_branch_totality():
     for n in range(3, 3000):
-        branch = branch_for(n)  # raises if not exactly one branch matches
+        branch = branch_for(n)
         assert branch.threshold == EXPECTED_THRESHOLDS[branch.branch_id]
+
+
+def test_residue_pairs_map_to_one_branch_each():
+    covered = sorted(pair for b in _BRANCHES for pair in b.residues)
+    assert covered == [(r3, r5) for r3 in range(3) for r5 in range(5)]
 
 
 def test_threshold_members_covered_by_table():
     # every dimension a branch leaves to the table must actually be decided
     # by the table (in range, not an open case)
-    for branch in _BRANCHES:
-        for n in range(3, branch.threshold + 1):
-            if branch.applies_to(n):
-                assert table_verdict(n) == VERDICT_NONEXISTENT, (branch.branch_id, n)
+    table_dims = set()
+    for n in range(3, max(b.threshold for b in _BRANCHES) + 1):
+        if n <= branch_for(n).threshold:
+            assert table_verdict(n) == VERDICT_NONEXISTENT, n
+            table_dims.add(n)
+    assert table_dims == {3, 4, 13, 14, 17}
+
+
+def _round_trip(cert):
+    return NonexistenceCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
 
 
 def test_certificates_self_check():
-    for n in (1, 2, 3, 5, 16, 28, 92, 1000, 99991):
-        assert certify(n).recheck()
+    for n in (1, 2, 3, 5, 13, 14, 16, 17, 28, 92, 1000, 99991):
+        cert = certify(n)
+        assert cert.recheck(), n
+        assert _round_trip(cert).recheck(), n
+
+
+def test_recheck_rejects_relabelled_existence():
+    genuine = certify(2).to_dict()
+    forged = dict(genuine, verdict=VERDICT_NONEXISTENT, justification=JUSTIFICATION_INEQUALITY,
+                  poly=[0, 0, 1], evaluated_value=1, threshold=0, witness=None)
+    assert not NonexistenceCertificate.from_dict(forged).recheck()
+
+
+def test_recheck_rejects_emptied_search():
+    data = certify(4, search_fallback=True).to_dict()
+    data["n"] = 1
+    data["search"]["outcomes"] = []
+    assert not NonexistenceCertificate.from_dict(data).recheck()
+
+
+def test_recheck_rejects_any_edited_field():
+    cert = certify(16)
+    for field, value in [("evaluated_value", 13), ("threshold", 3), ("branch_id", "mod3-0"),
+                         ("residue_tags", (0, 0)), ("note", "x"), ("justification", "table")]:
+        assert not dataclasses.replace(cert, **{field: value}).recheck(), field
+
+
+@pytest.mark.parametrize("n", ["3", None, 0, -4, 3.5, 3.0, True])
+def test_recheck_invalid_n_is_false(n):
+    assert dataclasses.replace(certify(3), n=n).recheck() is False
 
 
 def test_inequality_consistency_over_range():
@@ -150,9 +193,19 @@ def test_search_fallback():
         cert = certify(n, search_fallback=True)
         assert cert.justification == JUSTIFICATION_SEARCH
         assert cert.recheck()
+        assert _round_trip(cert).recheck()
         outcomes = cert.search["outcomes"]
         assert all(o["exhausted"] and not o["solutions"] for o in outcomes)
     assert len(certify(3, search_fallback=True).search["outcomes"]) == 2
+
+
+def test_search_fallback_gaps_where_search_cannot_finish():
+    for n in (13, 14, 17):
+        with pytest.raises(LeeTileError):
+            certify(n, search_fallback=True)
+    summary = certify_range(3, 20, search_fallback=True)
+    assert summary.gaps == (13, 14, 17)
+    assert summary.counts == {JUSTIFICATION_INEQUALITY: 13, JUSTIFICATION_SEARCH: 2}
 
 
 def test_json_round_trip():

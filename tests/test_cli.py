@@ -100,6 +100,16 @@ def test_verify_malformed_json_basis(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+def test_verify_deeply_nested_json_basis(capsys, tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["verify", "--basis", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_profile_json(capsys):
     code, data = run_json(
         capsys, ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8", "--k", "2"]
@@ -177,6 +187,20 @@ def test_certify_range_json_round_trip(capsys):
     assert code == 0
     summary = CertificationSummary.from_dict(data)
     assert summary.complete
+
+
+def test_certify_range_search_fallback_reports_gaps(capsys):
+    code, out, err = run(capsys, ["certify", "--range", "3:20", "--search-fallback"])
+    assert code == 3
+    assert "GAPS: [13, 14, 17]" in out
+    assert err == ""
+
+
+def test_certify_single_search_fallback_gap(capsys):
+    code, out, err = run(capsys, ["certify", "--n", "13", "--search-fallback"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_certify_bad_range(capsys):
