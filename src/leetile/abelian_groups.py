@@ -392,15 +392,15 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Returns (D, U, V) with U*M*V = D, D diagonal with d1 | d2 | ... and all
     diagonal entries positive, and U, V unimodular.  The pivot is always the
     smallest nonzero absolute value in the remaining submatrix, ties broken
-    by row-major position, which makes the output deterministic.
+    by row-major position, which makes the output deterministic.  A
+    singular matrix runs out of nonzero pivots and raises
+    SingularMatrixError.
     """
     rows = getattr(matrix, "rows", matrix)
     a = [list(map(int, r)) for r in rows]
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
-    if _det(a) == 0:
-        raise SingularMatrixError("matrix is singular")
     u = _identity_matrix(n)
     v = _identity_matrix(n)
 

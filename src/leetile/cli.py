@@ -7,8 +7,10 @@ One subcommand per subsystem: ``sphere``, ``groups``, ``verify``,
 
 Group elements on the command line are semicolon-separated residue tuples
 with comma-separated components, e.g. ``"0,0;1,2"``; one-component tuples
-may drop the comma (``"0;1;12;5;8"``).  The factorization bound can be
-overridden with the LEETILE_FACTOR_BOUND environment variable.
+may drop the comma (``"0;1;12;5;8"``).  The subcommands that factor a
+group order (``groups``, ``verify --group``, ``profile`` and ``search``)
+take their trial-division bound from the LEETILE_FACTOR_BOUND environment
+variable when it is set; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
@@ -27,7 +28,7 @@ from .errors import LeeTileError
 from .lee_geometry import sphere_points, sphere_size
 from .profiles import check_identities_k2, check_identities_k4, profile
 from .search_engine import SearchOptions, search_group
-from .tiling_core import TilingCandidate, check_conditions, verify_lattice
+from .tiling_core import TilingCandidate, check_conditions, radius2_group_order, verify_lattice
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -37,20 +38,17 @@ EXIT_GAP = 3
 _ENV_FACTOR_BOUND = "LEETILE_FACTOR_BOUND"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    output_mode: str  # "text" | "json"
-    factor_bound: Optional[int]
-
-
-def _factor_bound_from_env() -> Optional[int]:
+def _factor_bound() -> Optional[int]:
     raw = os.environ.get(_ENV_FACTOR_BOUND)
     if raw is None:
         return None
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        raise ValueError(f"{_ENV_FACTOR_BOUND} must be an integer, got {raw!r}") from None
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"{_ENV_FACTOR_BOUND} must be a positive integer, got {raw!r}")
+    return bound
 
 
 def parse_arm_string(group: AbelianGroup, text: str) -> tuple:
@@ -74,7 +72,7 @@ def _emit(data: dict, as_json: bool, text_lines):
             print(line)
 
 
-def _cmd_sphere(args, config: CliConfig) -> int:
+def _cmd_sphere(args) -> int:
     size = sphere_size(args.n, args.r)
     points = sphere_points(args.n, args.r) if args.list else None
     data = {"n": args.n, "r": args.r, "size": size}
@@ -82,19 +80,19 @@ def _cmd_sphere(args, config: CliConfig) -> int:
     if points is not None:
         data["points"] = [list(p) for p in points]
         lines.extend(" ".join(str(c) for c in p) for p in points)
-    _emit(data, config.output_mode == "json", lines)
+    _emit(data, args.json, lines)
     return EXIT_OK
 
 
-def _cmd_groups(args, config: CliConfig) -> int:
-    groups = enumerate_groups(args.order, trial_bound=config.factor_bound)
+def _cmd_groups(args) -> int:
+    groups = enumerate_groups(args.order, trial_bound=_factor_bound())
     data = {
         "order": args.order,
         "count": len(groups),
         "groups": [g.spec_string() for g in groups],
         "invariant_factors": [list(g.invariant_factors) for g in groups],
     }
-    _emit(data, config.output_mode == "json", [g.spec_string() for g in groups])
+    _emit(data, args.json, [g.spec_string() for g in groups])
     return EXIT_OK
 
 
@@ -107,7 +105,7 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_verify(args, config: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     if (args.basis is None) == (args.group is None):
         raise ValueError("give exactly one of --basis or --group")
     if args.basis is not None:
@@ -116,23 +114,23 @@ def _cmd_verify(args, config: CliConfig) -> int:
     else:
         if args.n is None or args.t is None:
             raise ValueError("--group mode needs --n and --t")
-        group = AbelianGroup.from_spec(args.group, trial_bound=config.factor_bound)
+        group = AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())
         arms = parse_arm_string(group, args.t)
         candidate = TilingCandidate.from_arm_set(group, args.n, arms)
         report = check_conditions(candidate)
-    _emit(report.to_dict(), config.output_mode == "json", _report_lines(report))
+    _emit(report.to_dict(), args.json, _report_lines(report))
     return EXIT_OK if report.accepted else EXIT_REJECT
 
 
-def _cmd_profile(args, config: CliConfig) -> int:
-    group = AbelianGroup.from_spec(args.group, trial_bound=config.factor_bound)
+def _cmd_profile(args) -> int:
+    group = AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())
     arms = parse_arm_string(group, args.t)
     candidate = TilingCandidate.from_arm_set(group, args.n, arms)
     report = check_conditions(candidate)
     if not report.accepted:
         _emit(
             {"verification": report.to_dict()},
-            config.output_mode == "json",
+            args.json,
             ["candidate rejected, no profile computed"] + _report_lines(report),
         )
         return EXIT_REJECT
@@ -155,20 +153,19 @@ def _cmd_profile(args, config: CliConfig) -> int:
         lines.append(
             f"  {'PASS' if c.passed else 'FAIL'} {c.name}: {c.lhs} {c.relation} {c.rhs}"
         )
-    _emit(data, config.output_mode == "json", lines)
+    _emit(data, args.json, lines)
     return EXIT_OK if identities.all_passed else EXIT_REJECT
 
 
-def _cmd_search(args, config: CliConfig) -> int:
+def _cmd_search(args) -> int:
     options = SearchOptions(
         use_automorphism_reduction=not args.no_reduction,
         node_budget=args.budget,
     )
     if args.group is not None:
-        groups = [AbelianGroup.from_spec(args.group, trial_bound=config.factor_bound)]
+        groups = [AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())]
     else:
-        order = 2 * args.n * args.n + 2 * args.n + 1
-        groups = enumerate_groups(order, trial_bound=config.factor_bound)
+        groups = enumerate_groups(radius2_group_order(args.n), trial_bound=_factor_bound())
     outcomes = [search_group(g, args.n, options) for g in groups]
     data = {"n": args.n, "outcomes": [o.to_dict() for o in outcomes]}
     lines = []
@@ -179,7 +176,7 @@ def _cmd_search(args, config: CliConfig) -> int:
         )
         for sol in o.solutions:
             lines.append("  " + ";".join(",".join(str(r) for r in g) for g in sol))
-    _emit(data, config.output_mode == "json", lines)
+    _emit(data, args.json, lines)
     return EXIT_OK
 
 
@@ -194,7 +191,7 @@ def _certificate_lines(cert) -> list[str]:
     return lines
 
 
-def _cmd_certify(args, config: CliConfig) -> int:
+def _cmd_certify(args) -> int:
     if (args.n is None) == (args.range is None):
         raise ValueError("give exactly one of --n or --range")
     if args.n is not None:
@@ -203,7 +200,7 @@ def _cmd_certify(args, config: CliConfig) -> int:
         except LeeTileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GAP
-        _emit(cert.to_dict(), config.output_mode == "json", _certificate_lines(cert))
+        _emit(cert.to_dict(), args.json, _certificate_lines(cert))
         return EXIT_OK
     try:
         lo_text, hi_text = args.range.split(":")
@@ -217,7 +214,7 @@ def _cmd_certify(args, config: CliConfig) -> int:
     ]
     if summary.gaps:
         lines.append(f"GAPS: {list(summary.gaps)}")
-    _emit(summary.to_dict(), config.output_mode == "json", lines)
+    _emit(summary.to_dict(), args.json, lines)
     return EXIT_OK if summary.complete else EXIT_GAP
 
 
@@ -284,11 +281,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            output_mode="json" if getattr(args, "json", False) else "text",
-            factor_bound=_factor_bound_from_env(),
-        )
-        return _HANDLERS[args.subcommand](args, config)
+        return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, LeeTileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ residue-class sums are forced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,14 +28,17 @@ class MultiplicityProfile:
     """Histogram of coefficients of A^(k) * A over the whole group.
 
     ``histogram`` maps every coefficient value from 0 up to ``max_index``
-    to its class size (possibly 0 in between); ``max_index`` is the largest
-    coefficient with a nonempty class.
+    to its class size (possibly 0 in between).
     """
 
     k: int
     n: int
     histogram: dict[int, int]
-    max_index: int
+
+    @property
+    def max_index(self) -> int:
+        """The largest coefficient with a nonempty class."""
+        return max((i for i, c in self.histogram.items() if c), default=0)
 
     def class_size(self, i: int) -> int:
         return self.histogram.get(i, 0)
@@ -59,14 +63,12 @@ class MultiplicityProfile:
             "max_index": self.max_index,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiplicityProfile":
-        return cls(
-            k=data["k"],
-            n=data["n"],
-            histogram={int(i): c for i, c in data["histogram"].items()},
-            max_index=data["max_index"],
-        )
+
+_RELATIONS = {
+    "==": operator.eq,
+    ">=": operator.ge,
+    "within": lambda x, bounds: bounds[0] <= x <= bounds[1],
+}
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,11 @@ class IdentityCheck:
     name: str
     relation: str  # "==" or ">=" or "within"
     lhs: int
-    rhs: object  # int, or [lo, hi] for "within"
-    passed: bool
+    rhs: object  # int, or (lo, hi) for "within"
+
+    @property
+    def passed(self) -> bool:
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -87,13 +92,6 @@ class IdentityCheck:
             "rhs": self.rhs,
             "passed": self.passed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdentityCheck":
-        rhs = data["rhs"]
-        if isinstance(rhs, list):
-            rhs = tuple(rhs)
-        return cls(data["name"], data["relation"], data["lhs"], rhs, data["passed"])
 
 
 @dataclass(frozen=True)
@@ -113,10 +111,6 @@ class IdentityReport:
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks], "all_passed": self.all_passed}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdentityReport":
-        return cls(tuple(IdentityCheck.from_dict(c) for c in data["checks"]))
-
 
 @dataclass(frozen=True)
 class DeltaReport:
@@ -128,14 +122,13 @@ class DeltaReport:
 
     n: int
     delta: int
-    delta_raw: int
+
+    @property
+    def delta_raw(self) -> int:
+        return self.delta + 2 * self.n
 
     def to_dict(self) -> dict:
         return {"n": self.n, "delta": self.delta, "delta_raw": self.delta_raw}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeltaReport":
-        return cls(data["n"], data["delta"], data["delta_raw"])
 
 
 @dataclass(frozen=True)
@@ -171,32 +164,34 @@ def profile(candidate: TilingCandidate, k: int) -> MultiplicityProfile:
     histogram = {i: counts.get(i, 0) for i in range(1, max_index + 1)}
     histogram[0] = candidate.group.order - sum(histogram.values())
     histogram = dict(sorted(histogram.items()))
-    return MultiplicityProfile(k=k, n=candidate.n, histogram=histogram, max_index=max_index)
+    return MultiplicityProfile(k=k, n=candidate.n, histogram=histogram)
 
 
-def _triangle_weight(s: int) -> int:
-    # (s - 1)(s - 2) / 2, the net inclusion-exclusion contribution of an
-    # element covered s >= 3 times.
-    return (s - 1) * (s - 2) // 2
+def _inclusion_exclusion_count(p: MultiplicityProfile) -> int:
+    """4n + 1 plus the net inclusion-exclusion contribution (s - 1)(s - 2) / 2
+    of each element covered s >= 3 times."""
+    return 4 * p.n + 1 + sum((s - 1) * (s - 2) // 2 * c for s, c in p.histogram.items() if s >= 3)
+
+
+def _common_checks(p: MultiplicityProfile, k: int) -> list[IdentityCheck]:
+    """The two identities every profile satisfies, whatever its k: class
+    sizes cover the group, and the weighted sum equals (2n+1)^2."""
+    if p.k != k:
+        raise ValueError(f"expected a k={k} profile, got k={p.k}")
+    return [
+        IdentityCheck("class-sizes-cover-group", "==", p.total(), radius2_group_order(p.n)),
+        IdentityCheck("weighted-class-sum", "==", p.weighted_sum(), (2 * p.n + 1) ** 2),
+    ]
 
 
 def check_identities_k2(p: MultiplicityProfile) -> IdentityReport:
-    """The three exact identities of the k = 2 profile: class sizes cover
-    the group, the weighted sum equals (2n+1)^2, and the distinct-element
-    count matches the inclusion-exclusion expansion."""
-    if p.k != 2:
-        raise ValueError(f"expected a k=2 profile, got k={p.k}")
-    n = p.n
-    order = radius2_group_order(n)
-    checks = []
-    lhs = p.total()
-    checks.append(IdentityCheck("class-sizes-cover-group", "==", lhs, order, lhs == order))
-    lhs = p.weighted_sum()
-    rhs = (2 * n + 1) ** 2
-    checks.append(IdentityCheck("weighted-class-sum", "==", lhs, rhs, lhs == rhs))
-    lhs = p.support_count()
-    rhs = 4 * n + 1 + sum(_triangle_weight(s) * c for s, c in p.histogram.items() if s >= 3)
-    checks.append(IdentityCheck("distinct-element-count", "==", lhs, rhs, lhs == rhs))
+    """The three exact identities of the k = 2 profile: the two common ones,
+    and the distinct-element count matches the inclusion-exclusion
+    expansion."""
+    checks = _common_checks(p, 2)
+    checks.append(
+        IdentityCheck("distinct-element-count", "==", p.support_count(), _inclusion_exclusion_count(p))
+    )
     return IdentityReport(tuple(checks))
 
 
@@ -206,34 +201,13 @@ def check_identities_k4(p: MultiplicityProfile) -> tuple[DeltaReport, IdentityRe
     bracket and the small-class lower bound are then checked.  A bracket
     violation on a verified candidate would signal an implementation bug,
     so it is reported, not raised."""
-    if p.k != 4:
-        raise ValueError(f"expected a k=4 profile, got k={p.k}")
+    checks = _common_checks(p, 4)
     n = p.n
-    order = radius2_group_order(n)
-    delta = (
-        p.support_count()
-        - (4 * n + 1)
-        - sum(_triangle_weight(s) * c for s, c in p.histogram.items() if s >= 3)
-    )
-    delta_report = DeltaReport(n=n, delta=delta, delta_raw=delta + 2 * n)
-    checks = []
-    lhs = p.total()
-    checks.append(IdentityCheck("class-sizes-cover-group", "==", lhs, order, lhs == order))
-    lhs = p.weighted_sum()
-    rhs = (2 * n + 1) ** 2
-    checks.append(IdentityCheck("weighted-class-sum", "==", lhs, rhs, lhs == rhs))
-    checks.append(
-        IdentityCheck("delta-within-bounds", "within", delta, (-2 * n, 0), -2 * n <= delta <= 0)
-    )
-    lhs = (
-        2 * p.class_size(1)
-        + 3 * p.class_size(2)
-        + 3 * p.class_size(3)
-        + 2 * p.class_size(4)
-    )
-    rhs = 4 * n * n + 6 * n + 2
-    checks.append(IdentityCheck("small-class-lower-bound", ">=", lhs, rhs, lhs >= rhs))
-    return delta_report, IdentityReport(tuple(checks))
+    delta = p.support_count() - _inclusion_exclusion_count(p)
+    small = 2 * p.class_size(1) + 3 * p.class_size(2) + 3 * p.class_size(3) + 2 * p.class_size(4)
+    checks.append(IdentityCheck("delta-within-bounds", "within", delta, (-2 * n, 0)))
+    checks.append(IdentityCheck("small-class-lower-bound", ">=", small, 4 * n * n + 6 * n + 2))
+    return DeltaReport(n=n, delta=delta), IdentityReport(tuple(checks))
 
 
 def _exact_div(numerator: int, divisor: int, what: str) -> int:

@@ -85,19 +85,6 @@ class SearchOutcome:
             "exhausted": self.exhausted,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchOutcome":
-        group = AbelianGroup(tuple(data["group"]))
-        return cls(
-            group=group,
-            n=data["n"],
-            solutions=tuple(
-                tuple(tuple(g) for g in sol) for sol in data["solutions"]
-            ),
-            nodes_explored=data["nodes_explored"],
-            exhausted=data["exhausted"],
-        )
-
 
 class _Abort(Exception):
     """Internal: node budget exhausted."""

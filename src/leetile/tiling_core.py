@@ -92,14 +92,6 @@ class VerificationReport:
             "witness": self.witness,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            accepted=data["verdict"] == "accept",
-            failed_condition=data.get("failed_condition"),
-            witness=data.get("witness"),
-        )
-
 
 def _accept() -> VerificationReport:
     return VerificationReport(accepted=True)

@@ -212,8 +212,15 @@ def test_snf_already_chained():
 
 
 def test_snf_singular_rejected():
-    with pytest.raises(SingularMatrixError):
-        smith_normal_form(((1, 2), (2, 4)))
+    # rank 1, the 1x1 zero, the 2x2 zero, and rank 2 in dimension 3
+    for matrix in (
+        ((1, 2), (2, 4)),
+        ((0,),),
+        ((0, 0), (0, 0)),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+    ):
+        with pytest.raises(SingularMatrixError):
+            smith_normal_form(matrix)
 
 
 def det(rows):

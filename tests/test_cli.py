@@ -55,13 +55,10 @@ def test_verify_reject(capsys):
     assert "quadratic-identity" in out
 
 
-def test_verify_json_round_trip(capsys):
-    from leetile import VerificationReport
-
+def test_verify_json(capsys):
     code, data = run_json(capsys, ACCEPT_ARGS)
     assert code == 0
-    report = VerificationReport.from_dict(data)
-    assert report.accepted
+    assert data == {"verdict": "accept", "failed_condition": None, "witness": None}
 
 
 def test_verify_malformed_tuple(capsys):
@@ -218,6 +215,38 @@ def test_factor_bound_env(capsys, monkeypatch):
     monkeypatch.setenv("LEETILE_FACTOR_BOUND", "not-a-number")
     code, _, err = run(capsys, ["groups", "--order", "25"])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["groups", "--order", "25"],
+    ["verify", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8"],
+    ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8", "--k", "2"],
+    ["search", "--n", "2"],
+    ["search", "--n", "2", "--group", "Z13"],
+])
+def test_factor_bound_rejected_where_read(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("LEETILE_FACTOR_BOUND", value)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: LEETILE_FACTOR_BOUND must be a positive integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "5"],
+    ["certify", "--range", "3:20"],
+    ["sphere", "--n", "2", "--r", "2"],
+    ["verify", "--basis", "BASIS"],
+])
+def test_factor_bound_ignored_where_nothing_factors(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "b.txt"
+    path.write_text("2\n13 -5\n0 1\n")
+    argv = [str(path) if a == "BASIS" else a for a in argv]
+    expected = run(capsys, argv)
+    monkeypatch.setenv("LEETILE_FACTOR_BOUND", "abc")
+    assert run(capsys, argv) == expected
+    assert expected[0] == 0
 
 
 def test_unknown_subcommand_exits_2(capsys):

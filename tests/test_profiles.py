@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from leetile import (
     DeltaReport,
-    IdentityReport,
     MultiplicityProfile,
     RejectedCandidateError,
     TilingCandidate,
@@ -13,6 +10,7 @@ from leetile import (
     predicted_profile_mod3,
     profile,
 )
+from leetile.profiles import IdentityCheck
 
 # Frozen histograms, derived by enumerating all ordered pair sums by hand:
 # n=1 over Z5 with arms {0, 1, 4} and n=2 over Z13 with arms {0, 1, 12, 5, 8}.
@@ -75,7 +73,7 @@ def test_k2_identities_real_instances(candidate_n1, candidate_n2):
 def test_k2_identities_synthetic_violation():
     base = dict(N2_K2)
     base[0] += 1  # breaks the covering identity and nothing else
-    broken = MultiplicityProfile(k=2, n=2, histogram=base, max_index=3)
+    broken = MultiplicityProfile(k=2, n=2, histogram=base)
     report = check_identities_k2(broken)
     assert not report.check("class-sizes-cover-group").passed
     assert report.check("weighted-class-sum").passed
@@ -103,10 +101,39 @@ def test_delta_matches_pair_counting_oracle(candidate_n1, candidate_n2):
 def test_k4_all_mass_on_class_one():
     # with every element in class 1 the solved correction is forced to
     # total - (4n+1), here 13 - 9 = 4, outside [-4, 0]
-    p = MultiplicityProfile(k=4, n=2, histogram={0: 0, 1: 13}, max_index=1)
+    p = MultiplicityProfile(k=4, n=2, histogram={0: 0, 1: 13})
     delta_report, report = check_identities_k4(p)
     assert delta_report.delta == 13 - (4 * 2 + 1)
     assert not report.check("delta-within-bounds").passed
+
+
+@pytest.mark.parametrize("ones, delta, passed", [(9, 0, True), (5, -4, True), (4, -5, False)])
+def test_k4_delta_bracket_is_inclusive(ones, delta, passed):
+    # with only class 1 occupied at n = 2 the correction is ones - 9, so
+    # these three profiles sit on 0, on -2n and just below -2n
+    p = MultiplicityProfile(k=4, n=2, histogram={0: 13 - ones, 1: ones})
+    delta_report, report = check_identities_k4(p)
+    assert delta_report.delta == delta
+    assert delta_report.delta_raw == delta + 4
+    assert report.check("delta-within-bounds").passed is passed
+
+
+def test_k4_small_class_lower_bound_violation():
+    # 2 * 9 elements of class 1 fall short of 4n^2 + 6n + 2 = 30 at n = 2
+    p = MultiplicityProfile(k=4, n=2, histogram={0: 4, 1: 9})
+    _, report = check_identities_k4(p)
+    check = report.check("small-class-lower-bound")
+    assert (check.relation, check.lhs, check.rhs) == (">=", 18, 30)
+    assert not check.passed
+    assert not report.all_passed
+
+
+def test_max_index_ignores_empty_top_classes():
+    # the closed form at n = 2 carries an explicit empty class 4
+    p = MultiplicityProfile(k=2, n=2, histogram=predicted_profile_mod3(2).histogram)
+    assert p.histogram[4] == 0
+    assert p.max_index == 3
+    assert MultiplicityProfile(k=2, n=2, histogram={0: 13, 1: 0}).max_index == 0
 
 
 def test_k_mismatch_between_profile_and_checker(candidate_n1):
@@ -179,13 +206,26 @@ def test_predicted_x0_empty_for_residue_two():
         assert predicted_profile_mod3(n).histogram[0] == 0
 
 
-def test_json_round_trips(candidate_n2):
+def test_derived_fields_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        DeltaReport(n=2, delta=0, delta_raw=99)
+    with pytest.raises(TypeError):
+        MultiplicityProfile(k=2, n=2, histogram=dict(N2_K2), max_index=7)
+    with pytest.raises(TypeError):
+        IdentityCheck("weighted-class-sum", "==", 25, 25, False)
+
+
+def test_to_dict_writes_derived_fields(candidate_n2):
     p = profile(candidate_n2, 4)
-    assert MultiplicityProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+    assert p.to_dict() == {
+        "k": 4, "n": 2, "histogram": {"0": 0, "1": 5, "2": 4, "3": 4}, "max_index": 3,
+    }
     delta_report, identities = check_identities_k4(p)
-    assert DeltaReport.from_dict(json.loads(json.dumps(delta_report.to_dict()))) == delta_report
-    wired = IdentityReport.from_dict(json.loads(json.dumps(identities.to_dict())))
-    assert wired == identities
+    assert delta_report.to_dict() == {"n": 2, "delta": 0, "delta_raw": 4}
+    assert identities.to_dict()["checks"][2] == {
+        "name": "delta-within-bounds", "relation": "within", "lhs": 0, "rhs": (-4, 0), "passed": True,
+    }
+    assert identities.to_dict()["all_passed"] is True
 
 
 def test_top_class_negation_symmetric(candidate_n1, candidate_n2):

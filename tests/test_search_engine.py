@@ -5,7 +5,6 @@ import pytest
 from leetile import (
     AbelianGroup,
     SearchOptions,
-    SearchOutcome,
     brute_force_search,
     check_conditions,
     TilingCandidate,
@@ -139,9 +138,14 @@ def test_options_validation():
         SearchOptions(node_budget=-1)
 
 
-def test_outcome_round_trip():
+def test_outcome_to_dict():
     outcome = search_group(Z13, 2, NO_REDUCTION)
-    assert SearchOutcome.from_dict(outcome.to_dict()) == outcome
+    data = outcome.to_dict()
+    assert data["group"] == [13] and data["group_spec"] == "Z13" and data["n"] == 2
+    assert data["exhausted"] is True
+    assert data["nodes_explored"] == outcome.nodes_explored
+    assert data["solutions"] == [[list(g) for g in sol] for sol in outcome.solutions]
+    assert len(data["solutions"]) == 3
 
 
 # Node counts of the engine, per (n, group): one node per attempted pair.
