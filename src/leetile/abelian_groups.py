@@ -19,7 +19,7 @@ from .errors import FactorizationError, SingularMatrixError
 
 GroupElement = tuple[int, ...]
 
-DEFAULT_TRIAL_BOUND = 10**6
+_TRIAL_BOUND = 10**6  # trial division limit; rho handles cofactors up to its 4th power
 _RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofactor
 
 # Deterministic Miller-Rabin witness set, valid for all inputs < 3.3e24.
@@ -105,19 +105,19 @@ class AbelianGroup:
         return "x".join(f"Z{d}" for d in self.invariant_factors)
 
     @classmethod
-    def from_cyclic_orders(cls, orders: Sequence[int], *, trial_bound: int | None = None) -> "AbelianGroup":
+    def from_cyclic_orders(cls, orders: Sequence[int]) -> "AbelianGroup":
         """Canonical invariant-factor form of a direct product of cyclic
         groups of the given orders (in any order, chained or not)."""
         exps: dict[int, list[int]] = {}
         for m in orders:
             if m < 1:
                 raise ValueError(f"cyclic order must be >= 1, got {m}")
-            for p, e in factorize(m, trial_bound=trial_bound).items():
+            for p, e in factorize(m).items():
                 exps.setdefault(p, []).append(e)
         return cls(_assemble_invariant_factors(exps))
 
     @classmethod
-    def from_spec(cls, text: str, *, trial_bound: int | None = None) -> "AbelianGroup":
+    def from_spec(cls, text: str) -> "AbelianGroup":
         """Parse a group spec string: ``Z13``, ``Z5xZ5`` or ``5,5``."""
         text = text.strip()
         if not text:
@@ -135,13 +135,13 @@ class AbelianGroup:
                 orders = [int(tok) for tok in text.split(",")]
             except ValueError:
                 raise ValueError(f"bad group spec {text!r}") from None
-        return cls.from_cyclic_orders(orders, trial_bound=trial_bound)
+        return cls.from_cyclic_orders(orders)
 
 
 def _is_probable_prime(m: int) -> bool:
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
     d = m - 1
@@ -179,20 +179,18 @@ def _pollard_rho(m: int, seed: int) -> int:
     return d
 
 
-def factorize(m: int, *, trial_bound: int | None = None) -> dict[int, int]:
+def factorize(m: int) -> dict[int, int]:
     """Prime factorization of m >= 1 as {prime: exponent}.
 
-    Trial division runs up to ``trial_bound`` (default 10**6).  A remaining
-    cofactor is accepted outright when it passes a deterministic primality
-    test.  A composite cofactor is attacked with Pollard rho only while it
-    is at most trial_bound**4 (its smallest prime factor is then at most
-    trial_bound**2, which rho digs out in about trial_bound steps); anything
-    larger is rejected explicitly instead of factoring for an unbounded
-    time.
+    Trial division runs up to 10**6.  A remaining cofactor is accepted
+    outright when it passes a deterministic primality test.  A composite
+    cofactor is attacked with Pollard rho only while it is at most 10**24
+    (its smallest prime factor is then at most 10**12, which rho digs out
+    in about 10**6 steps); anything larger is rejected explicitly instead
+    of factoring for an unbounded time.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}")
-    bound = DEFAULT_TRIAL_BOUND if trial_bound is None else trial_bound
     out: dict[int, int] = {}
     for p in (2, 3):
         while m % p == 0:
@@ -200,7 +198,7 @@ def factorize(m: int, *, trial_bound: int | None = None) -> dict[int, int]:
             m //= p
     p = 5
     step = 2
-    while p <= bound and p * p <= m:
+    while p <= _TRIAL_BOUND and p * p <= m:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
@@ -218,8 +216,8 @@ def factorize(m: int, *, trial_bound: int | None = None) -> dict[int, int]:
         if _is_probable_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
-        if c > bound**4:
-            raise FactorizationError(f"order too large to factor: cofactor {c} exceeds bound {bound}**4")
+        if c > _TRIAL_BOUND**4:
+            raise FactorizationError(f"order too large to factor: cofactor {c} exceeds bound {_TRIAL_BOUND}**4")
         for attempt in range(1, _RHO_ATTEMPTS + 1):
             d = _pollard_rho(c, attempt)
             if 1 < d < c:
@@ -267,7 +265,7 @@ def _assemble_invariant_factors(exps: dict[int, list[int]]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def enumerate_groups(order: int, *, trial_bound: int | None = None) -> list[AbelianGroup]:
+def enumerate_groups(order: int) -> list[AbelianGroup]:
     """One representative per isomorphism class of abelian groups of the
     given order, in canonical invariant-factor form.
 
@@ -278,7 +276,7 @@ def enumerate_groups(order: int, *, trial_bound: int | None = None) -> list[Abel
         raise ValueError(f"order must be >= 1, got {order}")
     if order == 1:
         return [AbelianGroup(())]
-    fac = factorize(order, trial_bound=trial_bound)
+    fac = factorize(order)
     primes = sorted(fac)
     choices = [_partitions(fac[p]) for p in primes]
     forms = set()
@@ -288,30 +286,8 @@ def enumerate_groups(order: int, *, trial_bound: int | None = None) -> list[Abel
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: determinants, Smith normal form, lattice quotients.
+# Integer matrices: Smith normal form and lattice quotients.
 # ---------------------------------------------------------------------------
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -336,9 +312,6 @@ class LatticeBasis:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
-
-    def det(self) -> int:
-        return _det(self.rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "LatticeBasis":

@@ -18,6 +18,7 @@ every inequality with a calculator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -330,23 +331,35 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
 
 @dataclass(frozen=True)
 class CertificationSummary:
+    """The certificates found for [lo, hi]; every n in the range without
+    one is a gap."""
+
     lo: int
     hi: int
-    counts: dict[str, int]
     certificates: tuple[NonexistenceCertificate, ...]
-    gaps: tuple[int, ...]
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Certificates per justification, keyed in order of first use."""
+        return dict(Counter(c.justification for c in self.certificates))
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        certified = {c.n for c in self.certificates}
+        return tuple(n for n in range(self.lo, self.hi + 1) if n not in certified)
 
     @property
     def complete(self) -> bool:
         return not self.gaps
 
     def to_dict(self) -> dict:
+        gaps = self.gaps
         return {
             "lo": self.lo,
             "hi": self.hi,
-            "counts": dict(self.counts),
-            "complete": self.complete,
-            "gaps": list(self.gaps),
+            "counts": self.counts,
+            "complete": not gaps,
+            "gaps": list(gaps),
             "certificates": [c.to_dict() for c in self.certificates],
         }
 
@@ -355,11 +368,9 @@ class CertificationSummary:
         return cls(
             lo=data["lo"],
             hi=data["hi"],
-            counts={k: int(v) for k, v in data["counts"].items()},
             certificates=tuple(
                 NonexistenceCertificate.from_dict(c) for c in data["certificates"]
             ),
-            gaps=tuple(data["gaps"]),
         )
 
 
@@ -369,20 +380,9 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got lo={lo}, hi={hi}")
     certificates = []
-    counts: dict[str, int] = {}
-    gaps = []
     for n in range(lo, hi + 1):
         try:
-            cert = certify(n, search_fallback=search_fallback)
+            certificates.append(certify(n, search_fallback=search_fallback))
         except LeeTileError:
-            gaps.append(n)
-            continue
-        certificates.append(cert)
-        counts[cert.justification] = counts.get(cert.justification, 0) + 1
-    return CertificationSummary(
-        lo=lo,
-        hi=hi,
-        counts=counts,
-        certificates=tuple(certificates),
-        gaps=tuple(gaps),
-    )
+            pass  # no certificate: n shows up in ``gaps``
+    return CertificationSummary(lo=lo, hi=hi, certificates=tuple(certificates))

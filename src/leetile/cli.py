@@ -7,19 +7,14 @@ One subcommand per subsystem: ``sphere``, ``groups``, ``verify``,
 
 Group elements on the command line are semicolon-separated residue tuples
 with comma-separated components, e.g. ``"0,0;1,2"``; one-component tuples
-may drop the comma (``"0;1;12;5;8"``).  The subcommands that factor a
-group order (``groups``, ``verify --group``, ``profile`` and ``search``)
-take their trial-division bound from the LEETILE_FACTOR_BOUND environment
-variable when it is set; it must be a positive integer.
+may drop the comma (``"0;1;12;5;8"``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
 from .certify import certify as _certify
@@ -34,21 +29,6 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_GAP = 3
-
-_ENV_FACTOR_BOUND = "LEETILE_FACTOR_BOUND"
-
-
-def _factor_bound() -> Optional[int]:
-    raw = os.environ.get(_ENV_FACTOR_BOUND)
-    if raw is None:
-        return None
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 1:
-        raise ValueError(f"{_ENV_FACTOR_BOUND} must be a positive integer, got {raw!r}")
-    return bound
 
 
 def parse_arm_string(group: AbelianGroup, text: str) -> tuple:
@@ -85,7 +65,7 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_groups(args) -> int:
-    groups = enumerate_groups(args.order, trial_bound=_factor_bound())
+    groups = enumerate_groups(args.order)
     data = {
         "order": args.order,
         "count": len(groups),
@@ -114,7 +94,7 @@ def _cmd_verify(args) -> int:
     else:
         if args.n is None or args.t is None:
             raise ValueError("--group mode needs --n and --t")
-        group = AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())
+        group = AbelianGroup.from_spec(args.group)
         arms = parse_arm_string(group, args.t)
         candidate = TilingCandidate.from_arm_set(group, args.n, arms)
         report = check_conditions(candidate)
@@ -123,7 +103,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    group = AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())
+    group = AbelianGroup.from_spec(args.group)
     arms = parse_arm_string(group, args.t)
     candidate = TilingCandidate.from_arm_set(group, args.n, arms)
     report = check_conditions(candidate)
@@ -163,9 +143,9 @@ def _cmd_search(args) -> int:
         node_budget=args.budget,
     )
     if args.group is not None:
-        groups = [AbelianGroup.from_spec(args.group, trial_bound=_factor_bound())]
+        groups = [AbelianGroup.from_spec(args.group)]
     else:
-        groups = enumerate_groups(radius2_group_order(args.n), trial_bound=_factor_bound())
+        groups = enumerate_groups(radius2_group_order(args.n))
     outcomes = [search_group(g, args.n, options) for g in groups]
     data = {"n": args.n, "outcomes": [o.to_dict() for o in outcomes]}
     lines = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abelian_groups import AbelianGroup, GroupElement, LatticeBasis, project, quotient_map
-from .errors import ArmCollisionError
+from .errors import ArmCollisionError, SingularMatrixError
 from .group_ring import GroupRingElement
 from .lee_geometry import sphere_points, sphere_size
 
@@ -156,6 +156,17 @@ def pair_multiplicity(candidate: TilingCandidate, g: GroupElement) -> int:
     return sum(1 for t in candidate.arms if group.add(g, group.neg(t)) in arm_set)
 
 
+def _volume_and_quotient(basis: LatticeBasis):
+    """|det| of the basis together with ``quotient_map(basis)``.  |det| is
+    the order of the quotient group; a singular basis, on which the Smith
+    normal form runs out of pivots, has |det| = 0 and no quotient."""
+    try:
+        group, images = quotient_map(basis)
+    except SingularMatrixError:
+        return 0, None, None
+    return group.order, group, images
+
+
 def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     """Geometric verifier for any radius: the basis columns generate a
     lattice whose Lee-sphere translates partition Z^n exactly when |det|
@@ -167,11 +178,10 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     n = basis.n
-    volume = abs(basis.det())
     expected = sphere_size(n, radius)
+    volume, group, images = _volume_and_quotient(basis)
     if volume != expected:
         return _reject(FAILED_DETERMINANT, {"determinant": volume, "expected": expected})
-    group, images = quotient_map(basis)
     seen: dict[GroupElement, tuple[int, ...]] = {}
     for point in sphere_points(n, radius):
         coset = project(group, images, point)
@@ -199,10 +209,9 @@ def to_group_model(basis: LatticeBasis) -> TilingCandidate:
     """
     n = basis.n
     expected = radius2_group_order(n)
-    volume = abs(basis.det())
+    volume, group, images = _volume_and_quotient(basis)
     if volume != expected:
         raise ValueError(f"|det| = {volume}, need {expected} for a radius-2 model in dimension {n}")
-    group, images = quotient_map(basis)
     arms = {group.identity()}
     for img in images:
         arms.add(img)

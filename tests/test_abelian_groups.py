@@ -17,6 +17,8 @@ from leetile import (
 )
 from leetile.abelian_groups import project
 
+from conftest import det
+
 
 def matmul(a, b):
     return tuple(
@@ -173,17 +175,19 @@ def test_factorize_matches_sympy():
 
 
 def test_factorize_large_prime_cofactor():
+    # both primes lie above the 10**6 trial bound; Pollard rho splits them
     p = 1_000_003
     q = 1_000_033
-    assert factorize(p * q, trial_bound=10**4) == {p: 1, q: 1}
+    assert factorize(p * q) == {p: 1, q: 1}
 
 
 def test_factorize_explicit_rejection():
-    p = 1_000_003
-    q = 1_000_033
-    # Composite cofactor above bound**4 is rejected instead of factored.
+    p = 10**12 + 39
+    q = 10**13 + 37
+    assert sympy.isprime(p) and sympy.isprime(q)
+    # Composite cofactor above (10**6)**4 is rejected instead of factored.
     with pytest.raises(FactorizationError):
-        factorize(p * q, trial_bound=100)
+        factorize(p * q)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +225,6 @@ def test_snf_singular_rejected():
     ):
         with pytest.raises(SingularMatrixError):
             smith_normal_form(matrix)
-
-
-def det(rows):
-    return int(sympy.Matrix([list(r) for r in rows]).det())
 
 
 def test_snf_random_against_sympy():
@@ -310,11 +310,11 @@ def test_quotient_random_kernel_and_surjectivity():
         n = rng.randint(1, 3)
         rows = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
         basis = LatticeBasis(rows)
-        if basis.det() == 0:
+        if det(rows) == 0:
             continue
         trials += 1
         group, images = quotient_map(basis)
-        assert group.order == abs(basis.det())
+        assert group.order == abs(det(rows))
         for j in range(n):
             assert project(group, images, basis.column(j)) == group.identity()
         assert len(subgroup_generated(group, images)) == group.order
@@ -330,7 +330,7 @@ def test_basis_text_formats(tmp_path):
     b2 = LatticeBasis.from_file(jpath)
     assert b1 == b2
     assert b1.column(0) == (13, 0)
-    assert b1.det() == 13
+    assert det(b1.rows) == 13
 
 
 def test_basis_validation():

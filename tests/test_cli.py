@@ -88,6 +88,15 @@ def test_verify_basis_reject(capsys, tmp_path):
     assert "collision" in out
 
 
+def test_verify_singular_basis_reject(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("2\n1 2\n2 4\n")
+    code, data = run_json(capsys, ["verify", "--basis", str(path), "--r", "2"])
+    assert code == 1
+    assert data["failed_condition"] == "determinant"
+    assert data["witness"] == {"determinant": 0, "expected": 13}
+
+
 @pytest.mark.parametrize("text", ['{"x":1}', "[[1,null],[0,1]]", "[1]", '{"rows": 5}'])
 def test_verify_malformed_json_basis(capsys, tmp_path, text):
     path = tmp_path / "b.json"
@@ -205,48 +214,13 @@ def test_certify_bad_range(capsys):
     assert code == 2
 
 
-def test_factor_bound_env(capsys, monkeypatch):
-    # a semiprime with both factors above the bound squared is rejected
-    monkeypatch.setenv("LEETILE_FACTOR_BOUND", "100")
-    order = 1_000_003 * 1_000_033
-    code, _, err = run(capsys, ["groups", "--order", str(order)])
-    assert code == 2
-    assert "too large to factor" in err
-    monkeypatch.setenv("LEETILE_FACTOR_BOUND", "not-a-number")
-    code, _, err = run(capsys, ["groups", "--order", "25"])
-    assert code == 2
-
-
-@pytest.mark.parametrize("value", ["0", "-5", "abc"])
-@pytest.mark.parametrize("argv", [
-    ["groups", "--order", "25"],
-    ["verify", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8"],
-    ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8", "--k", "2"],
-    ["search", "--n", "2"],
-    ["search", "--n", "2", "--group", "Z13"],
-])
-def test_factor_bound_rejected_where_read(capsys, monkeypatch, value, argv):
-    monkeypatch.setenv("LEETILE_FACTOR_BOUND", value)
-    code, out, err = run(capsys, argv)
+def test_groups_order_too_large_to_factor(capsys):
+    # a semiprime whose composite part exceeds (10**6)**4 is rejected
+    order = (10**12 + 39) * (10**13 + 37)
+    code, out, err = run(capsys, ["groups", "--order", str(order)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: LEETILE_FACTOR_BOUND must be a positive integer")
-
-
-@pytest.mark.parametrize("argv", [
-    ["certify", "--n", "5"],
-    ["certify", "--range", "3:20"],
-    ["sphere", "--n", "2", "--r", "2"],
-    ["verify", "--basis", "BASIS"],
-])
-def test_factor_bound_ignored_where_nothing_factors(capsys, monkeypatch, tmp_path, argv):
-    path = tmp_path / "b.txt"
-    path.write_text("2\n13 -5\n0 1\n")
-    argv = [str(path) if a == "BASIS" else a for a in argv]
-    expected = run(capsys, argv)
-    monkeypatch.setenv("LEETILE_FACTOR_BOUND", "abc")
-    assert run(capsys, argv) == expected
-    assert expected[0] == 0
+    assert "too large to factor" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -23,7 +23,7 @@ from leetile.tiling_core import (
     FAILED_SYMMETRY,
 )
 
-from conftest import ARMS_N2
+from conftest import ARMS_N2, det
 
 
 def count_pairs(group, arms, target):
@@ -150,7 +150,7 @@ def test_lattice_accepts_classical_radius_one():
             cols[j][0] = -(j + 1)
             cols[j][j] = 1
         basis = LatticeBasis.from_columns(cols)
-        assert abs(basis.det()) == sphere_size(n, 1)
+        assert abs(det(basis.rows)) == sphere_size(n, 1)
         assert verify_lattice(basis, 1).accepted
 
 
@@ -174,6 +174,15 @@ def test_lattice_rejects_wrong_determinant():
     report = verify_lattice(LatticeBasis(((1, 0), (0, 1))), 2)
     assert report.failed_condition == FAILED_DETERMINANT
     assert report.witness == {"determinant": 1, "expected": 13}
+
+
+@pytest.mark.parametrize("rows", [((1, 2), (2, 4)), ((0,),)])
+def test_lattice_rejects_singular_basis(rows):
+    # |det| comes from the Smith normal form, which finds no full set of
+    # pivots here; the rejection still reports determinant 0
+    report = verify_lattice(LatticeBasis(rows), 2)
+    assert report.failed_condition == FAILED_DETERMINANT
+    assert report.witness == {"determinant": 0, "expected": sphere_size(len(rows), 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,13 @@ def test_to_group_model_determinant_mismatch():
         to_group_model(LatticeBasis(((1, 0), (0, 1))))
 
 
+@pytest.mark.parametrize("rows, expected", [(((1, 2), (2, 4)), 13), (((0,),), 5)])
+def test_to_group_model_singular_basis(rows, expected):
+    with pytest.raises(ValueError) as info:
+        to_group_model(LatticeBasis(rows))
+    assert str(info.value).startswith(f"|det| = 0, need {expected} ")
+
+
 def agree(basis, radius=2):
     geometric = verify_lattice(basis, radius).accepted
     try:
@@ -234,6 +250,6 @@ def test_equivalence_on_random_det25_bases():
                 for k in range(3):
                     m[k][i] += q * m[k][j]
         basis = LatticeBasis(tuple(tuple(r) for r in m))
-        assert abs(basis.det()) == 25
+        assert abs(det(basis.rows)) == 25
         ok, _ = agree(basis)
         assert ok
