@@ -171,6 +171,63 @@ def _certificate_lines(cert) -> list[str]:
     return lines
 
 
+# Two inequality or table certificates of one branch differ only in n, the
+# residue tags and the evaluated value, so each (justification, branch) is
+# encoded once with these markers in their place and the text is reused.
+_MARKERS = ("\0n", "\0r3", "\0r5", "\0value")
+
+
+def _template(cert, pad: str) -> list[str]:
+    """The text around the marked values of ``cert``, every line after the
+    first indented by ``pad``."""
+    n, r3, r5, value = _MARKERS
+    data = {**cert.to_dict(), "n": n, "residue_tags": [r3, r5], "evaluated_value": value}
+    rest = json.dumps(data, indent=2).replace("\n", "\n" + pad)
+    pieces = []
+    for marker in _MARKERS:
+        head, rest = rest.split(json.dumps(marker), 1)
+        pieces.append(head)
+    return pieces + [rest]
+
+
+def _certificate_json(certificates, pad: str = "") -> list[str]:
+    """``json.dumps(c.to_dict(), indent=2)`` of each certificate, every line
+    after the first indented by ``pad``.  Witness and search certificates
+    carry data that depends on n and are encoded whole."""
+    templates = {}
+    texts = []
+    for c in certificates:
+        if c.witness is not None or c.search is not None:
+            texts.append(json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad))
+            continue
+        key = (c.justification, c.branch_id)
+        if key not in templates:
+            templates[key] = _template(c, pad)
+        p0, p1, p2, p3, p4 = templates[key]
+        value = "null" if c.evaluated_value is None else c.evaluated_value
+        r3, r5 = c.residue_tags
+        texts.append(f"{p0}{c.n}{p1}{r3}{p2}{r5}{p3}{value}{p4}")
+    return texts
+
+
+def _summary_json(summary, gaps: tuple) -> str:
+    """``json.dumps(summary.to_dict(), indent=2)``, given ``summary.gaps``."""
+    head = json.dumps({
+        "lo": summary.lo,
+        "hi": summary.hi,
+        "counts": summary.counts,
+        "complete": not gaps,
+        "gaps": list(gaps),
+        "certificates": [],
+    }, indent=2)
+    if not summary.certificates:
+        return head
+    texts = _certificate_json(summary.certificates, "    ")
+    texts[0] = head[: -len("[]\n}")] + "[\n    " + texts[0]
+    texts[-1] += "\n  ]\n}"
+    return ",\n    ".join(texts)
+
+
 def _cmd_certify(args) -> int:
     if (args.n is None) == (args.range is None):
         raise ValueError("give exactly one of --n or --range")
@@ -180,7 +237,7 @@ def _cmd_certify(args) -> int:
         except LeeTileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GAP
-        _emit(cert.to_dict(), args.json, _certificate_lines(cert))
+        print(_certificate_json([cert])[0] if args.json else "\n".join(_certificate_lines(cert)))
         return EXIT_OK
     try:
         lo_text, hi_text = args.range.split(":")
@@ -188,14 +245,15 @@ def _cmd_certify(args) -> int:
     except ValueError:
         raise ValueError(f"--range must look like LO:HI, got {args.range!r}") from None
     summary = _certify_range(lo, hi, search_fallback=args.search_fallback)
-    lines = [
-        f"certified {len(summary.certificates)} of {hi - lo + 1} dimensions in [{lo}, {hi}]",
-        "counts: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.counts.items())),
-    ]
-    if summary.gaps:
-        lines.append(f"GAPS: {list(summary.gaps)}")
-    _emit(summary.to_dict(), args.json, lines)
-    return EXIT_OK if summary.complete else EXIT_GAP
+    gaps = summary.gaps
+    if args.json:
+        print(_summary_json(summary, gaps))
+    else:
+        print(f"certified {len(summary.certificates)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")
+        print("counts: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.counts.items())))
+        if gaps:
+            print(f"GAPS: {list(gaps)}")
+    return EXIT_GAP if gaps else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

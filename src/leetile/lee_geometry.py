@@ -7,7 +7,6 @@ arbitrary-precision integers.
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
 
 LeeVector = tuple[int, ...]
 
@@ -34,19 +33,33 @@ def lee_distance(x, y) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
 
-def _enumerate(n: int, budget: int, prefix: tuple) -> Iterator[LeeVector]:
-    if n == 0:
-        yield prefix
-        return
-    for v in range(-budget, budget + 1):
-        yield from _enumerate(n - 1, budget - abs(v), prefix + (v,))
-
-
 def sphere_points(n: int, r: int) -> list[LeeVector]:
     """All integer points with coordinate-absolute-value sum <= r, in
     lexicographic order (so outputs are reproducible)."""
     spec = LeeSphereSpec(n, r)
-    return list(_enumerate(spec.n, spec.r, ()))
+    point = [0] * spec.n
+    points = []
+    # Depth first over the coordinates, one iterator over the values of each
+    # open coordinate, kept on a list rather than the call stack so large n
+    # cannot exceed the recursion limit.  Coordinates past the current one
+    # are 0, so a prefix that spends the whole radius is a point at once.
+    left = [spec.r]  # left[d]: radius not yet spent before coordinate d
+    levels = [iter(range(-spec.r, spec.r + 1))]
+    while levels:
+        d = len(levels) - 1
+        for v in levels[-1]:
+            point[d] = v
+            rest = left[d] - abs(v)
+            if rest and d + 1 < spec.n:
+                left.append(rest)
+                levels.append(iter(range(-rest, rest + 1)))
+                break
+            points.append(tuple(point))
+        else:
+            point[d] = 0
+            levels.pop()
+            left.pop()
+    return points
 
 
 def sphere_size(n: int, r: int) -> int:

@@ -30,6 +30,13 @@ def test_sphere_list(capsys):
     assert out.splitlines() == ["5", "-2", "-1", "0", "1", "2"]
 
 
+def test_sphere_list_large_n(capsys):
+    code, out, err = run(capsys, ["sphere", "--n", "1500", "--r", "1", "--list"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "3001" and len(lines) == 3002
+
+
 def test_sphere_json(capsys):
     code, data = run_json(capsys, ["sphere", "--n", "2", "--r", "2", "--list"])
     assert code == 0
@@ -184,6 +191,18 @@ def test_certify_range(capsys):
     code, out, _ = run(capsys, ["certify", "--range", "3:100"])
     assert code == 0
     assert "certified 98 of 98" in out
+
+
+def test_certify_range_text_builds_no_json(capsys, monkeypatch):
+    from leetile.certify import NonexistenceCertificate
+
+    def refuse(self):
+        raise RuntimeError("text output must not build certificate dicts")
+
+    monkeypatch.setattr(NonexistenceCertificate, "to_dict", refuse)
+    code, out, _ = run(capsys, ["certify", "--range", "3:3000"])
+    assert code == 0
+    assert "certified 2998 of 2998" in out
 
 
 def test_certify_range_json_round_trip(capsys):

@@ -63,6 +63,15 @@ def test_points_lexicographic_and_negation_symmetric():
         assert all(tuple(-c for c in p) in members for p in pts)
 
 
+def test_points_beyond_recursion_limit():
+    # One coordinate per level used to recurse; n = 995 already crashed.
+    pts = sphere_points(1500, 1)
+    assert len(pts) == 3001
+    assert pts[0] == (-1,) + (0,) * 1499
+    assert pts[1500] == (0,) * 1500
+    assert pts == sorted(pts)
+
+
 def test_size_matches_enumeration():
     for n in range(1, 6):
         for r in range(0, 6):
