@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +77,7 @@ class AbelianGroup:
         return g
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return tuple((a + b) % d for a, b, d in zip(g, h, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.add, g, h), self.invariant_factors))
 
     def neg(self, g: GroupElement) -> GroupElement:
         return tuple(-a % d for a, d in zip(g, self.invariant_factors))

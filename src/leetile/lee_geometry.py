@@ -5,8 +5,10 @@ coordinate absolute values sum to at most r.  All sizes are computed with
 arbitrary-precision integers.
 """
 
+import operator
 from dataclasses import dataclass
 from math import comb
+from typing import Any, Iterator
 
 LeeVector = tuple[int, ...]
 
@@ -33,33 +35,50 @@ def lee_distance(x, y) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
 
-def sphere_points(n: int, r: int) -> list[LeeVector]:
-    """All integer points with coordinate-absolute-value sum <= r, in
-    lexicographic order (so outputs are reproducible)."""
-    spec = LeeSphereSpec(n, r)
-    point = [0] * spec.n
-    points = []
+def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[LeeVector, Any]]:
+    """Yield ``(point, value)`` for every integer point with
+    coordinate-absolute-value sum <= r, in lexicographic order.
+
+    A point's value is ``origin`` folded with ``add`` over the entries
+    ``steps[d][x_d + r]`` of its coordinates, and the walk carries the value
+    of each prefix, so a point costs one ``add``.  Coordinates after the last
+    one the walk sets are 0, so ``steps[d][r]`` must leave a value unchanged.
+    The walk is lazy: a caller may stop at any point.
+    """
+    LeeSphereSpec(n, r)  # rejects n < 1 and r < 0
+    point = [0] * n
     # Depth first over the coordinates, one iterator over the values of each
     # open coordinate, kept on a list rather than the call stack so large n
     # cannot exceed the recursion limit.  Coordinates past the current one
     # are 0, so a prefix that spends the whole radius is a point at once.
-    left = [spec.r]  # left[d]: radius not yet spent before coordinate d
-    levels = [iter(range(-spec.r, spec.r + 1))]
+    left = [r]  # left[d]: radius not yet spent before coordinate d
+    values = [origin]  # values[d]: value of the prefix before coordinate d
+    levels = [iter(range(-r, r + 1))]
     while levels:
         d = len(levels) - 1
+        row, prefix = steps[d], values[d]
         for v in levels[-1]:
             point[d] = v
+            value = add(prefix, row[v + r])
             rest = left[d] - abs(v)
-            if rest and d + 1 < spec.n:
+            if rest and d + 1 < n:
                 left.append(rest)
+                values.append(value)
                 levels.append(iter(range(-rest, rest + 1)))
                 break
-            points.append(tuple(point))
+            yield tuple(point), value
         else:
             point[d] = 0
             levels.pop()
             left.pop()
-    return points
+            values.pop()
+
+
+def sphere_points(n: int, r: int) -> list[LeeVector]:
+    """All integer points with coordinate-absolute-value sum <= r, in
+    lexicographic order (so outputs are reproducible)."""
+    zeros = [[0] * (2 * r + 1)] * n
+    return [point for point, _ in walk_sphere(n, r, zeros, operator.add, 0)]
 
 
 def sphere_size(n: int, r: int) -> int:

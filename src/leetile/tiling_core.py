@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .abelian_groups import AbelianGroup, GroupElement, LatticeBasis, project, quotient_map
+from .abelian_groups import AbelianGroup, GroupElement, LatticeBasis, quotient_map
 from .errors import ArmCollisionError, SingularMatrixError
 from .group_ring import GroupRingElement
-from .lee_geometry import sphere_points, sphere_size
+from .lee_geometry import sphere_size, walk_sphere
 
 # failed_condition labels carried by rejection reports
 FAILED_ORDER = "order"
@@ -172,8 +172,11 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     lattice whose Lee-sphere translates partition Z^n exactly when |det|
     equals the sphere size and no two sphere points share a coset.
 
-    Sphere points are scanned in lexicographic order, so the reported
-    collision (if any) is deterministic.
+    Sphere points are scanned in lexicographic order and the scan stops at
+    the first point whose coset an earlier point holds, so the reported
+    collision (if any) is deterministic.  The walk carries the coset of each
+    prefix; a point's coset is that coset plus the image of its last set
+    coordinate, looked up in a table built once per call.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -182,19 +185,24 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     volume, group, images = _volume_and_quotient(basis)
     if volume != expected:
         return _reject(FAILED_DETERMINANT, {"determinant": volume, "expected": expected})
-    seen: dict[GroupElement, tuple[int, ...]] = {}
-    for point in sphere_points(n, radius):
-        coset = project(group, images, point)
+    steps = [[group.scale(img, v) for v in range(-radius, radius + 1)] for img in images]
+    zero = group.identity()
+    seen: set[GroupElement] = set()
+    for point, coset in walk_sphere(n, radius, steps, group.add, zero):
         if coset in seen:
+            # Only cosets are kept (a point per coset would hold a tuple per
+            # sphere point), so the earlier point is found by walking again
+            # up to the first one with this coset.
+            first = next(p for p, c in walk_sphere(n, radius, steps, group.add, zero) if c == coset)
             return _reject(
                 FAILED_COLLISION,
                 {
-                    "first_point": list(seen[coset]),
+                    "first_point": list(first),
                     "second_point": list(point),
                     "coset": list(coset),
                 },
             )
-        seen[coset] = point
+        seen.add(coset)
     return _accept()
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from leetile import LeeSphereSpec, lee_distance, sphere_points, sphere_size
+from leetile.lee_geometry import walk_sphere
 
 
 def box_filter_points(n, r):
@@ -72,6 +73,23 @@ def test_points_beyond_recursion_limit():
     assert pts == sorted(pts)
 
 
+def test_walk_carries_prefix_values():
+    # a point's value is 7 + sum of x_d * 10^d over every coordinate; the
+    # step of x_d = 0 adds 0, as the walk requires
+    for n, r in ((1, 0), (1, 3), (3, 2), (4, 3)):
+        steps = [[v * 10**d for v in range(-r, r + 1)] for d in range(n)]
+        walked = list(walk_sphere(n, r, steps, lambda a, b: a + b, 7))
+        assert [p for p, _ in walked] == sphere_points(n, r)
+        assert all(value == 7 + sum(x * 10**d for d, x in enumerate(p)) for p, value in walked)
+
+
+def test_walk_is_lazy():
+    calls = []
+    walk = walk_sphere(200, 2, [[0] * 5] * 200, lambda a, b: calls.append(b) or a, 0)
+    assert next(walk) == ((-2,) + (0,) * 199, 0)
+    assert len(calls) == 1
+
+
 def test_size_matches_enumeration():
     for n in range(1, 6):
         for r in range(0, 6):
@@ -98,3 +116,5 @@ def test_spec_validation():
         LeeSphereSpec(0, 2)
     with pytest.raises(ValueError):
         sphere_points(2, -1)
+    with pytest.raises(ValueError):
+        next(walk_sphere(0, 1, [], None, 0))

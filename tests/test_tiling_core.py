@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,9 @@ from leetile import (
     to_group_model,
     verify_lattice,
 )
+from leetile.abelian_groups import project, quotient_map
+from leetile.cli import main
+from leetile.lee_geometry import sphere_points
 from leetile.tiling_core import (
     FAILED_COLLISION,
     FAILED_DETERMINANT,
@@ -21,6 +25,7 @@ from leetile.tiling_core import (
     FAILED_QUADRATIC,
     FAILED_SIZE,
     FAILED_SYMMETRY,
+    radius2_group_order,
 )
 
 from conftest import ARMS_N2, det
@@ -158,16 +163,16 @@ def test_lattice_rejects_collision():
     basis = LatticeBasis.from_columns([(13, 0), (-1, 1)])
     report = verify_lattice(basis, 2)
     assert report.failed_condition == FAILED_COLLISION
+    # the first collision in lexicographic scan order: (-1, -1) is the first
+    # point whose coset an earlier point, (-2, 0), already holds
     w = report.witness
-    # the reported pair is the first collision in lexicographic scan order,
-    # and the two points really are congruent modulo the lattice: their
+    assert w == {"first_point": [-2, 0], "second_point": [-1, -1], "coset": [11]}
+    # the two points really are congruent modulo the lattice: their
     # difference is an integer combination of the columns
     diff = tuple(a - b for a, b in zip(w["first_point"], w["second_point"]))
     # solve diff = x * (13, 0) + y * (-1, 1) over the integers
     y = diff[1]
     assert (diff[0] + y) % 13 == 0
-    # the pair named by the construction also collides: (1,0) and (0,1)
-    assert (1 - 0 + (0 - 1)) % 13 == 0
 
 
 def test_lattice_rejects_wrong_determinant():
@@ -253,3 +258,150 @@ def test_equivalence_on_random_det25_bases():
         assert abs(det(basis.rows)) == 25
         ok, _ = agree(basis)
         assert ok
+
+
+# ---------------------------------------------------------------------------
+# geometric verifier against a per-point reference scan
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(basis, radius):
+    """``verify_lattice(basis, radius).to_dict()`` computed the slow way:
+    |det| by sympy, then every sphere point projected on its own, in
+    lexicographic order; the first coset met twice is the witness."""
+    n = basis.n
+    expected = sphere_size(n, radius)
+    volume = abs(det(basis.rows))
+    if volume != expected:
+        witness = {"determinant": volume, "expected": expected}
+        return {"verdict": "reject", "failed_condition": FAILED_DETERMINANT, "witness": witness}
+    group, images = quotient_map(basis)
+    seen = {}
+    for point in sphere_points(n, radius):
+        coset = project(group, images, point)
+        if coset in seen:
+            witness = {"first_point": list(seen[coset]), "second_point": list(point), "coset": list(coset)}
+            return {"verdict": "reject", "failed_condition": FAILED_COLLISION, "witness": witness}
+        seen[coset] = point
+    return {"verdict": "accept", "failed_condition": None, "witness": None}
+
+
+def kernel_columns(factors, arms):
+    """Columns spanning the kernel of x -> sum x_i * arms[i] onto
+    Z_{d1} x ... x Z_{dk}; arms[i] must be the i-th unit element for i < k."""
+    n, k = len(arms), len(factors)
+    cols = []
+    for i in range(n):
+        col = [0] * n
+        if i < k:
+            col[i] = factors[i]
+        else:
+            col[i] = 1
+            for j in range(k):
+                col[j] = -arms[i][j]
+        cols.append(col)
+    return cols
+
+
+def scrambled(cols, rng):
+    """The same lattice under a new basis (column additions, swaps and sign
+    flips), seen through a random signed permutation of the coordinates,
+    which maps every Lee sphere onto itself."""
+    cols = [list(c) for c in cols]
+    n = len(cols)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.choice((-2, -1, 1, 2))
+            cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+        else:
+            cols[i] = [-a for a in cols[i]]
+    rng.shuffle(cols)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[k] * c[perm[k]] for k in range(n)] for c in cols]
+
+
+def random_arms(factors, n, rng):
+    """n elements of Z_{d1} x ... x Z_{dk}, the first k the unit elements,
+    the rest nonzero and distinct up to sign."""
+    k = len(factors)
+    neg = lambda g: tuple(-a % d for a, d in zip(g, factors))
+    arms = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    used = {(0,) * k, *arms, *map(neg, arms)}
+    while len(arms) < n:
+        g = tuple(rng.randrange(d) for d in factors)
+        if g not in used:
+            arms.append(g)
+            used.update((g, neg(g)))
+    return arms
+
+
+def oracle_bases():
+    rng = random.Random(20261018)
+    cases = []  # (columns, radius)
+    # every sublattice of Z^2 of index 13, in Hermite normal form
+    cases += [([(13, 0), (-c, 1)], 2) for c in range(13)] + [([(1, 0), (0, 13)], 2)]
+    # Golomb-Welch tilings of Z^2, and radius-1 tilings, cyclic and not
+    tilings = [([(r + 1, r), (-r, r + 1)], r) for r in range(13)]
+    tilings += [(kernel_columns((2 * n + 1,), [(i,) for i in range(1, n + 1)]), 1) for n in range(1, 13)]
+    tilings += [(kernel_columns((3, 3), [(1, 0), (0, 1), (1, 1), (1, 2)]), 1)]
+    cases += [(scrambled(cols, rng), r) for cols, r in tilings]
+    # radius-2 candidates of |det| = 2n^2 + 2n + 1, none of which tiles; the
+    # forced collision gives two basis vectors the same image up to sign
+    for n in range(3, 9):
+        m = radius2_group_order(n)
+        for factors in [(m,)] + ([(5, 5)] if m == 25 else []):
+            for collide in (False, True):
+                arms = random_arms(factors, n, rng)
+                if collide:
+                    arms[-1] = rng.choice((arms[-2], tuple(-a % d for a, d in zip(arms[-2], factors))))
+                cases.append((scrambled(kernel_columns(factors, arms), rng), 2))
+    # |det| off by a factor, off by one entry, or zero
+    for cols, r in tilings[1::3]:
+        cols = [list(c) for c in cols]
+        i = rng.randrange(len(cols))
+        cols[i] = [v * rng.choice((2, 3)) for v in cols[i]]
+        cases.append((scrambled(cols, rng), r))
+    cases += [([(3, 2), (-2, 4)], 2), ([(1, 2), (2, 4)], 2)]
+    # radius 0 and dimension 1
+    cases += [([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 0), ([(2,)], 0), ([(1,)], 0)]
+    cases += [([(2 * r + 1,)], r) for r in range(5)] + [([(4,)], 2), ([(5,)], 1)]
+    return [(LatticeBasis.from_columns(cols), r) for cols, r in cases]
+
+
+def test_lattice_matches_reference_scan():
+    verdicts = set()
+    for basis, radius in oracle_bases():
+        got = verify_lattice(basis, radius).to_dict()
+        assert got == reference_scan(basis, radius), (basis.rows, radius)
+        verdicts.add(got["failed_condition"])
+    assert verdicts == {None, FAILED_COLLISION, FAILED_DETERMINANT}
+
+
+def test_radius_zero_and_dimension_one():
+    assert verify_lattice(LatticeBasis(((1, 0), (0, 1))), 0).accepted
+    assert verify_lattice(LatticeBasis(((2,),)), 0).to_dict() == {
+        "verdict": "reject",
+        "failed_condition": FAILED_DETERMINANT,
+        "witness": {"determinant": 2, "expected": 1},
+    }
+    assert verify_lattice(LatticeBasis(((5,),)), 2).accepted
+
+
+# sha256 of stdout of ``verify --basis FILE --r 2 --json``, pinned when the
+# output format was last changed on purpose
+VERIFY_BASIS_GOLDEN = {
+    "accept": ("2\n3 -2\n2 3\n", 0, "aed36845ac042fd4c9cab2cb0700e5474e063157914eaaef5aca697d1ca25fd0"),
+    "collision": ("2\n13 -1\n0 1\n", 1, "ee3c47c8d22b9274f5a5748bc52bd2438153e3550c274512cfa719f0b245423e"),
+    "determinant": ("2\n1 0\n0 1\n", 1, "2e5c22cb5f3819af88e771c82421dfaf085f1910f91fce34c5dc89613c5202bb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_BASIS_GOLDEN))
+def test_verify_basis_json_is_byte_identical(capsys, tmp_path, case):
+    text, code, digest = VERIFY_BASIS_GOLDEN[case]
+    path = tmp_path / "basis.txt"
+    path.write_text(text)
+    assert main(["verify", "--basis", str(path), "--r", "2", "--json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
