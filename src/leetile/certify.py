@@ -10,14 +10,15 @@ request, by re-running the exhaustive search, which settles n = 3 and 4
 and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
 existence certificates carrying the explicit constructions.
 
-A certificate is a pure function of n (and of whether the search fallback
-was asked for), so ``recheck`` derives it again from n alone and trusts no
-other field.  The stored polynomial and value still let a reader re-verify
-every inequality with a calculator.
+A certificate stores n, its justification and any search outcomes; every
+other field is derived from n.  ``recheck`` derives it again from n alone
+(re-running a search) and trusts no stored field.  The written polynomial
+and value let a reader re-verify every inequality with a calculator.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -71,7 +72,8 @@ class Branch:
         a, b, c = self.poly
         return a * n * n + b * n + c
 
-    def poly_string(self) -> str:
+    @property
+    def inequality(self) -> str:
         a, b, c = self.poly
         return f"{a}n^2 {b:+d}n {c:+d} <= 0"
 
@@ -185,23 +187,50 @@ def table_verdict(n: int) -> Optional[str]:
 
 @dataclass(frozen=True)
 class NonexistenceCertificate:
-    """Machine-checkable verdict for one dimension."""
+    """Machine-checkable verdict for one dimension.
+
+    Only ``n``, the justification and, for a search certificate, the search
+    outcomes are stored; every other field is derived from n.
+    """
 
     n: int
-    residue_tags: tuple[int, int]  # (n mod 3, n mod 5)
-    verdict: str
     justification: str
-    branch_id: Optional[str] = None
-    branch_case: Optional[str] = None
-    branch_description: Optional[str] = None
-    inequality: Optional[str] = None
-    poly: Optional[tuple[int, int, int]] = None
-    evaluated_value: Optional[int] = None
-    threshold: Optional[int] = None
-    note: Optional[str] = None
-    witness: Optional[dict] = None
-    table: Optional[dict] = None
     search: Optional[dict] = None
+
+    @property
+    def residue_tags(self) -> tuple[int, int]:
+        return (self.n % 3, self.n % 5)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_EXISTS if self.n in _WITNESSES else VERDICT_NONEXISTENT
+
+    @property
+    def _branch(self) -> Optional[Branch]:
+        """The branch covering n; None for n = 1, 2."""
+        return None if self.n in _WITNESSES else branch_for(self.n)
+
+    branch_id = property(lambda self: getattr(self._branch, "branch_id", None))
+    branch_case = property(lambda self: getattr(self._branch, "case", None))
+    inequality = property(lambda self: getattr(self._branch, "inequality", None))
+    poly = property(lambda self: getattr(self._branch, "poly", None))
+    threshold = property(lambda self: getattr(self._branch, "threshold", None))
+    note = property(lambda self: getattr(self._branch, "note", None))
+
+    @property
+    def evaluated_value(self) -> Optional[int]:
+        """q(n) where n lies above its branch threshold, else None."""
+        branch = self._branch
+        return branch.evaluate(self.n) if branch and self.n > branch.threshold else None
+
+    @property
+    def witness(self) -> Optional[dict]:
+        if self.n not in _WITNESSES:
+            return None
+        factors, arms = _WITNESSES[self.n]
+        group = AbelianGroup(factors)
+        return {"group": list(group.invariant_factors), "group_spec": group.spec_string(),
+                "arms": [list(g) for g in arms], "verified": True}
 
     def recheck(self) -> bool:
         """Derive the certificate again from ``n`` alone (re-running the
@@ -212,6 +241,7 @@ class NonexistenceCertificate:
             return False
 
     def to_dict(self) -> dict:
+        table = self.justification == JUSTIFICATION_TABLE
         return {
             "n": self.n,
             "residue_tags": list(self.residue_tags),
@@ -219,36 +249,34 @@ class NonexistenceCertificate:
             "justification": self.justification,
             "branch_id": self.branch_id,
             "branch_case": self.branch_case,
-            "branch_description": self.branch_description,
+            "branch_description": getattr(self._branch, "description", None),
             "inequality": self.inequality,
             "poly": list(self.poly) if self.poly else None,
             "evaluated_value": self.evaluated_value,
             "threshold": self.threshold,
             "note": self.note,
             "witness": self.witness,
-            "table": self.table,
+            "table": {"range": list(TABLE_RANGE), "open_cases": sorted(TABLE_OPEN_CASES)} if table else None,
             "search": self.search,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonexistenceCertificate":
-        return cls(
-            n=data["n"],
-            residue_tags=tuple(data["residue_tags"]),
-            verdict=data["verdict"],
-            justification=data["justification"],
-            branch_id=data.get("branch_id"),
-            branch_case=data.get("branch_case"),
-            branch_description=data.get("branch_description"),
-            inequality=data.get("inequality"),
-            poly=tuple(data["poly"]) if data.get("poly") else None,
-            evaluated_value=data.get("evaluated_value"),
-            threshold=data.get("threshold"),
-            note=data.get("note"),
-            witness=data.get("witness"),
-            table=data.get("table"),
-            search=data.get("search"),
-        )
+        """Rebuild a certificate from ``n``, ``justification`` and ``search``.
+
+        Raises ValueError unless ``data`` is ``to_dict()`` of ``certify(n)``,
+        or of a search certificate where ``certify(n)`` is a table one.  The
+        search outcomes themselves are checked only by ``recheck``.
+        """
+        if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
+            raise ValueError(f"a certificate needs an int n >= 1, got {data!r:.80}")
+        cert = cls(data["n"], data.get("justification"), data.get("search"))
+        settled = certify(cert.n)
+        if settled.justification == JUSTIFICATION_TABLE and isinstance(cert.search, dict):
+            settled = cls(cert.n, JUSTIFICATION_SEARCH, cert.search)  # only recheck runs the search
+        if cert != settled or cert.to_dict() != data:
+            raise ValueError(f"certificate for n={cert.n} has fields that do not follow from n")
+        return cert
 
 
 def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate:
@@ -264,39 +292,12 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
         raise TypeError(f"dimension must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    tags = (n % 3, n % 5)
     if n in _WITNESSES:
         factors, arms = _WITNESSES[n]
-        group = AbelianGroup(factors)
-        candidate = TilingCandidate(group, n, arms)
-        report = check_conditions(candidate)
-        if not report.accepted:
+        if not check_conditions(TilingCandidate(AbelianGroup(factors), n, arms)).accepted:
             raise LeeTileError(f"stored witness for n={n} failed verification")
-        return NonexistenceCertificate(
-            n=n,
-            residue_tags=tags,
-            verdict=VERDICT_EXISTS,
-            justification=JUSTIFICATION_WITNESS,
-            witness={
-                "group": list(group.invariant_factors),
-                "group_spec": group.spec_string(),
-                "arms": [list(g) for g in arms],
-                "verified": True,
-            },
-        )
+        return NonexistenceCertificate(n, JUSTIFICATION_WITNESS)
     branch = branch_for(n)
-    common = dict(
-        n=n,
-        residue_tags=tags,
-        verdict=VERDICT_NONEXISTENT,
-        branch_id=branch.branch_id,
-        branch_case=branch.case,
-        branch_description=branch.description,
-        inequality=branch.poly_string(),
-        poly=branch.poly,
-        threshold=branch.threshold,
-        note=branch.note,
-    )
     if n > branch.threshold:
         value = branch.evaluate(n)
         if value <= 0:
@@ -304,29 +305,21 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
                 f"branch {branch.branch_id} claims threshold {branch.threshold} but "
                 f"q({n}) = {value} yields no contradiction"
             )
-        return NonexistenceCertificate(
-            justification=JUSTIFICATION_INEQUALITY, evaluated_value=value, **common
-        )
+        return NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
     if search_fallback:
         if n >= _BUDGET_REQUIRED_FROM:
             raise LeeTileError(f"search fallback cannot settle n={n}: search needs a node budget")
         outcomes = search_all(n)
         if all(o.exhausted and not o.solutions for o in outcomes):
             return NonexistenceCertificate(
-                justification=JUSTIFICATION_SEARCH,
-                search={"outcomes": [o.to_dict() for o in outcomes]},
-                **common,
+                n, JUSTIFICATION_SEARCH, {"outcomes": [o.to_dict() for o in outcomes]}
             )
         raise LeeTileError(
             f"search fallback for n={n} did not certify (incomplete or found solutions)"
         )
     if table_verdict(n) != VERDICT_NONEXISTENT:
         raise LeeTileError(f"no certificate source for n={n}: below threshold and table is silent")
-    return NonexistenceCertificate(
-        justification=JUSTIFICATION_TABLE,
-        table={"range": list(TABLE_RANGE), "open_cases": sorted(TABLE_OPEN_CASES)},
-        **common,
-    )
+    return NonexistenceCertificate(n, JUSTIFICATION_TABLE)
 
 
 @dataclass(frozen=True)
@@ -352,26 +345,31 @@ class CertificationSummary:
     def complete(self) -> bool:
         return not self.gaps
 
+    def _head(self, gaps: tuple) -> dict:
+        """Every field but the certificates, given ``self.gaps``."""
+        return {"lo": self.lo, "hi": self.hi, "counts": self.counts, "complete": not gaps, "gaps": list(gaps)}
+
     def to_dict(self) -> dict:
-        gaps = self.gaps
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "counts": self.counts,
-            "complete": not gaps,
-            "gaps": list(gaps),
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
+        return {**self._head(self.gaps), "certificates": [c.to_dict() for c in self.certificates]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertificationSummary":
-        return cls(
-            lo=data["lo"],
-            hi=data["hi"],
-            certificates=tuple(
-                NonexistenceCertificate.from_dict(c) for c in data["certificates"]
-            ),
-        )
+        """Rebuild a summary from ``lo``, ``hi`` and its certificates.
+
+        Raises ValueError unless the certificates are for distinct n in
+        [lo, hi] in increasing order and ``counts``, ``gaps`` and
+        ``complete`` are the ones they give.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
+            raise ValueError(f"a summary needs a list of certificates, got {data!r:.80}")
+        lo, hi = data.get("lo"), data.get("hi")
+        if type(lo) is not int or type(hi) is not int or not 3 <= lo <= hi:
+            raise ValueError(f"a summary needs ints 3 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+        summary = cls(lo, hi, tuple(NonexistenceCertificate.from_dict(c) for c in data["certificates"]))
+        ns = [c.n for c in summary.certificates]
+        if ns != sorted(set(ns) & set(range(lo, hi + 1))) or summary.to_dict() != data:
+            raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
+        return summary
 
 
 def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> CertificationSummary:
@@ -386,3 +384,53 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
         except LeeTileError:
             pass  # no certificate: n shows up in ``gaps``
     return CertificationSummary(lo=lo, hi=hi, certificates=tuple(certificates))
+
+
+# Two inequality or table certificates of one branch differ only in n, the
+# residue tags and the evaluated value, so each (justification, branch) is
+# encoded once with these markers in their place and the text is reused.
+_MARKERS = ("\0n", "\0r3", "\0r5", "\0value")
+
+
+def _template(cert: NonexistenceCertificate, pad: str) -> list[str]:
+    """The text around the marked values of ``cert``, every line after the
+    first indented by ``pad``."""
+    n, r3, r5, value = _MARKERS
+    data = {**cert.to_dict(), "n": n, "residue_tags": [r3, r5], "evaluated_value": value}
+    rest = json.dumps(data, indent=2).replace("\n", "\n" + pad)
+    pieces = []
+    for marker in _MARKERS:
+        head, rest = rest.split(json.dumps(marker), 1)
+        pieces.append(head)
+    return pieces + [rest]
+
+
+def _certificate_json(certificates, pad: str = "") -> list[str]:
+    """``json.dumps(c.to_dict(), indent=2)`` of each certificate, every line
+    after the first indented by ``pad``.  Witness and search certificates
+    carry data that depends on n and are encoded whole."""
+    templates = {}
+    texts = []
+    for c in certificates:
+        if c.justification in (JUSTIFICATION_WITNESS, JUSTIFICATION_SEARCH):
+            texts.append(json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad))
+            continue
+        key = (c.justification, c.branch_id)
+        if key not in templates:
+            templates[key] = _template(c, pad)
+        p0, p1, p2, p3, p4 = templates[key]
+        value = c.evaluated_value
+        r3, r5 = c.residue_tags
+        texts.append(f"{p0}{c.n}{p1}{r3}{p2}{r5}{p3}{'null' if value is None else value}{p4}")
+    return texts
+
+
+def _summary_json(summary: CertificationSummary, gaps: tuple) -> str:
+    """``json.dumps(summary.to_dict(), indent=2)``, given ``summary.gaps``."""
+    head = json.dumps({**summary._head(gaps), "certificates": []}, indent=2)
+    if not summary.certificates:
+        return head
+    texts = _certificate_json(summary.certificates, "    ")
+    texts[0] = head[: -len("[]\n}")] + "[\n    " + texts[0]
+    texts[-1] += "\n  ]\n}"
+    return ",\n    ".join(texts)

@@ -17,6 +17,7 @@ import json
 import sys
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
+from .certify import _certificate_json, _summary_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
 from .errors import LeeTileError
@@ -169,63 +170,6 @@ def _certificate_lines(cert) -> list[str]:
     if cert.note:
         lines.append(f"  note: {cert.note}")
     return lines
-
-
-# Two inequality or table certificates of one branch differ only in n, the
-# residue tags and the evaluated value, so each (justification, branch) is
-# encoded once with these markers in their place and the text is reused.
-_MARKERS = ("\0n", "\0r3", "\0r5", "\0value")
-
-
-def _template(cert, pad: str) -> list[str]:
-    """The text around the marked values of ``cert``, every line after the
-    first indented by ``pad``."""
-    n, r3, r5, value = _MARKERS
-    data = {**cert.to_dict(), "n": n, "residue_tags": [r3, r5], "evaluated_value": value}
-    rest = json.dumps(data, indent=2).replace("\n", "\n" + pad)
-    pieces = []
-    for marker in _MARKERS:
-        head, rest = rest.split(json.dumps(marker), 1)
-        pieces.append(head)
-    return pieces + [rest]
-
-
-def _certificate_json(certificates, pad: str = "") -> list[str]:
-    """``json.dumps(c.to_dict(), indent=2)`` of each certificate, every line
-    after the first indented by ``pad``.  Witness and search certificates
-    carry data that depends on n and are encoded whole."""
-    templates = {}
-    texts = []
-    for c in certificates:
-        if c.witness is not None or c.search is not None:
-            texts.append(json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad))
-            continue
-        key = (c.justification, c.branch_id)
-        if key not in templates:
-            templates[key] = _template(c, pad)
-        p0, p1, p2, p3, p4 = templates[key]
-        value = "null" if c.evaluated_value is None else c.evaluated_value
-        r3, r5 = c.residue_tags
-        texts.append(f"{p0}{c.n}{p1}{r3}{p2}{r5}{p3}{value}{p4}")
-    return texts
-
-
-def _summary_json(summary, gaps: tuple) -> str:
-    """``json.dumps(summary.to_dict(), indent=2)``, given ``summary.gaps``."""
-    head = json.dumps({
-        "lo": summary.lo,
-        "hi": summary.hi,
-        "counts": summary.counts,
-        "complete": not gaps,
-        "gaps": list(gaps),
-        "certificates": [],
-    }, indent=2)
-    if not summary.certificates:
-        return head
-    texts = _certificate_json(summary.certificates, "    ")
-    texts[0] = head[: -len("[]\n}")] + "[\n    " + texts[0]
-    texts[-1] += "\n  ]\n}"
-    return ",\n    ".join(texts)
 
 
 def _cmd_certify(args) -> int:

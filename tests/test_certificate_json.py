@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leetile.certify import certify, certify_range
-from leetile.cli import _certificate_json, _summary_json
+from leetile.certify import _certificate_json, _summary_json
 
 
 def first_difference(data, text: str):

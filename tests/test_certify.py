@@ -135,25 +135,93 @@ def test_certificates_self_check():
         assert _round_trip(cert).recheck(), n
 
 
+def test_certificate_stores_only_n_justification_and_search():
+    assert [f.name for f in dataclasses.fields(NonexistenceCertificate)] == ["n", "justification", "search"]
+    with pytest.raises(TypeError):
+        NonexistenceCertificate(16, JUSTIFICATION_INEQUALITY, evaluated_value=13)
+
+
 def test_recheck_rejects_relabelled_existence():
     genuine = certify(2).to_dict()
     forged = dict(genuine, verdict=VERDICT_NONEXISTENT, justification=JUSTIFICATION_INEQUALITY,
                   poly=[0, 0, 1], evaluated_value=1, threshold=0, witness=None)
-    assert not NonexistenceCertificate.from_dict(forged).recheck()
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(forged)
 
 
 def test_recheck_rejects_emptied_search():
     data = certify(4, search_fallback=True).to_dict()
-    data["n"] = 1
     data["search"]["outcomes"] = []
+    # n = 4 may be settled by a search, so the emptied search loads; only
+    # running the search again shows that its outcomes are not the real ones
     assert not NonexistenceCertificate.from_dict(data).recheck()
+    data["n"] = 1
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
 
 
 def test_recheck_rejects_any_edited_field():
     cert = certify(16)
     for field, value in [("evaluated_value", 13), ("threshold", 3), ("branch_id", "mod3-0"),
-                         ("residue_tags", (0, 0)), ("note", "x"), ("justification", "table")]:
-        assert not dataclasses.replace(cert, **{field: value}).recheck(), field
+                         ("residue_tags", [0, 0]), ("note", "x"), ("justification", "table")]:
+        with pytest.raises(ValueError):
+            NonexistenceCertificate.from_dict(dict(cert.to_dict(), **{field: value}))
+    assert dataclasses.replace(cert, justification="table").recheck() is False
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"justification": JUSTIFICATION_INEQUALITY},  # below the threshold, so no value
+        {"justification": JUSTIFICATION_SEARCH},  # a search certificate needs its outcomes
+        {"justification": JUSTIFICATION_INEQUALITY, "table": None},
+        {"search": {"outcomes": []}},
+        {"table": None},
+    ],
+)
+def test_from_dict_rejects_a_justification_n_does_not_allow(edit):
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(dict(certify(13).to_dict(), **edit))
+
+
+GENUINE = [(3, False), (4, True), (1, False)]  # table, search and witness certificates
+
+
+@pytest.mark.parametrize("n, search_fallback", GENUINE)
+@pytest.mark.parametrize("missing", ["n", "justification", "search"])
+def test_from_dict_rejects_a_missing_field(missing, n, search_fallback):
+    data = certify(n, search_fallback=search_fallback).to_dict()
+    del data[missing]
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("n, search_fallback", GENUINE)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"n": "3"},
+        {"n": 3.0},
+        {"n": True},
+        {"n": 0},
+        {"justification": None},
+        {"search": [1, 2]},
+        {"search": "outcomes"},
+        {"residue_tags": 5},
+        {"extra": 1},
+    ],
+    ids=repr,
+)
+def test_from_dict_rejects_a_malformed_field(edit, n, search_fallback):
+    data = dict(certify(n, search_fallback=search_fallback).to_dict(), **edit)
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [[1, 2], {}, None, "certificate"], ids=repr)
+def test_from_dict_rejects_a_non_dict(data):
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
 
 
 @pytest.mark.parametrize("n", ["3", None, 0, -4, 3.5, 3.0, True])
@@ -209,10 +277,42 @@ def test_search_fallback_gaps_where_search_cannot_finish():
 
 
 def test_json_round_trip():
-    for n in (1, 3, 16):
+    for n in range(1, 400):
         cert = certify(n)
         assert NonexistenceCertificate.from_dict(cert.to_dict()) == cert
+        assert _round_trip(cert) == cert
     cert = certify(4, search_fallback=True)
     assert NonexistenceCertificate.from_dict(cert.to_dict()) == cert
     summary = certify_range(3, 30)
     assert CertificationSummary.from_dict(summary.to_dict()) == summary
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"complete": False, "gaps": [7]},
+        {"counts": {JUSTIFICATION_INEQUALITY: 8}},
+        {"counts": {JUSTIFICATION_TABLE: 3, JUSTIFICATION_INEQUALITY: 6}},
+        {"lo": 4},
+        {"hi": 11},
+        {"lo": "3"},
+    ],
+)
+def test_summary_from_dict_rejects_edited_fields(edit):
+    data = json.loads(json.dumps(certify_range(3, 10).to_dict()))
+    assert CertificationSummary.from_dict(data).to_dict() == data
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(dict(data, **edit))
+
+
+def test_summary_from_dict_rejects_reordered_or_repeated_certificates():
+    certs = certify_range(3, 10).certificates
+    for edited in (certs[::-1], certs + certs[-1:], (certify(11),) + certs[1:]):
+        with pytest.raises(ValueError):
+            CertificationSummary.from_dict(CertificationSummary(3, 10, edited).to_dict())
+
+
+@pytest.mark.parametrize("data", [None, [1], {}, {"lo": 3, "hi": 10, "certificates": {}}], ids=repr)
+def test_summary_from_dict_raises_value_error_on_malformed_input(data):
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(data)
