@@ -265,8 +265,9 @@ class NonexistenceCertificate:
         """Rebuild a certificate from ``n``, ``justification`` and ``search``.
 
         Raises ValueError unless ``data`` is ``to_dict()`` of ``certify(n)``,
-        or of a search certificate where ``certify(n)`` is a table one.  The
-        search outcomes themselves are checked only by ``recheck``.
+        or of a search certificate where ``certify(n)`` is a table one, down
+        to JSON types (``12.0`` is not ``12``).  The search outcomes
+        themselves are checked only by ``recheck``.
         """
         if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
             raise ValueError(f"a certificate needs an int n >= 1, got {data!r:.80}")
@@ -274,9 +275,18 @@ class NonexistenceCertificate:
         settled = certify(cert.n)
         if settled.justification == JUSTIFICATION_TABLE and isinstance(cert.search, dict):
             settled = cls(cert.n, JUSTIFICATION_SEARCH, cert.search)  # only recheck runs the search
-        if cert != settled or cert.to_dict() != data:
+        if cert != settled or not _same_json(cert.to_dict(), data):
             raise ValueError(f"certificate for n={cert.n} has fields that do not follow from n")
         return cert
+
+
+def _same_json(a, b) -> bool:
+    """Equality of JSON values, type-exact: unlike ``==`` it tells 12.0
+    from 12 and true from 1."""
+    try:
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    except (TypeError, ValueError):  # not JSON: unserializable or circular
+        return False
 
 
 def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate:
@@ -358,7 +368,7 @@ class CertificationSummary:
 
         Raises ValueError unless the certificates are for distinct n in
         [lo, hi] in increasing order and ``counts``, ``gaps`` and
-        ``complete`` are the ones they give.
+        ``complete`` are the ones they give, down to JSON types.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
             raise ValueError(f"a summary needs a list of certificates, got {data!r:.80}")
@@ -367,7 +377,7 @@ class CertificationSummary:
             raise ValueError(f"a summary needs ints 3 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
         summary = cls(lo, hi, tuple(NonexistenceCertificate.from_dict(c) for c in data["certificates"]))
         ns = [c.n for c in summary.certificates]
-        if ns != sorted(set(ns) & set(range(lo, hi + 1))) or summary.to_dict() != data:
+        if ns != sorted(set(ns) & set(range(lo, hi + 1))) or not _same_json(summary.to_dict(), data):
             raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
         return summary
 

@@ -19,9 +19,42 @@ covered.  A counting argument shows the caps are tight at full depth, so
 any surviving leaf is a solution; each reported set is still re-verified
 post hoc through the independent verifier.
 
+Legality as set membership.  Write A for the arms and C for the covered
+elements; by construction C = (A - A) minus {0}.  No candidate is an arm,
+so pair {g, -g} is legal exactly when g lies outside B, H and T, where
+
+    B = C - A           (A+g or A-g meets C),
+    H = {x : 2x in C}   ({2g, -2g} meets C),
+    T = {x : 3x in A}   (2g = a - g or -2g = a + g for an arm a).
+
+All three are symmetric, and halving and thirding are bijections: the
+order 2n^2+2n+1 is odd and never divisible by 3.  The engine carries the
+union B | H | T as one bitset and grows it when it accepts g.  With
+C' = C | (A+g) | (A-g) | {2g, -2g} the new covered set and A' = A | {g, -g}:
+
+    B' = B | (C'+g) | (C'-g)        two translations,
+    H' = H | (A/2 + g/2) | (A/2 - g/2)   two translations of the carried A/2,
+    T' = T | {g/3, -g/3}.
+
+B needs only two translations because every difference of arms is
+covered.  B' = C' - A' is the union of B, C'+g, C'-g and the differences
+(new covered element) - b for arms b.  Of the last, (a+g) - b = (a-b) + g
+with a - b in C | {0}, and 2g - b = (g-b) + g with g - b in A+g, so each
+lies in C'+g, except g itself, which is 2g - g; the cases with -g are
+symmetric.  H' omits {g, -g}, the halves of {2g, -2g}: they are arms and
+never tested.
+
+So a level takes ``free = candidates & ~blocked`` once and walks its set
+bits in pair order (element index order is pair order).  A blocked pair
+costs no work but still counts as one node: the pairs passed over before
+each legal one, and after the last, are counted by popcount of the
+candidate mask, and a budget cut falls exactly where a pair-by-pair walk
+would stop.  A child whose candidates are all blocked is counted the same
+way without being entered.
+
 Sets of elements are Python ints used as bitsets over the mixed-radix
 (lexicographic) element index.  Translating a set by g is one masked block
-rotation per invariant factor, so a search node is a few big-int shifts
+rotation per invariant factor, so accepting a pair is a few big-int shifts
 and ANDs, and each recursion level passes fresh ints down with nothing to
 undo.
 """
@@ -38,8 +71,9 @@ from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
 _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
-# The translation masks and the per-pair double bitsets take about
-# order^2 / 8 bytes together (35 MB at this bound).
+# The translation masks take about order^2 / 16 bytes (16 MiB at this
+# bound).  A budgeted search of Z16381 (n = 90) peaks at 41 MiB RSS in a
+# fresh process, interpreter included (Python 3.11, x86-64 Linux).
 _MAX_ORDER = 1 << 14
 
 
@@ -126,6 +160,17 @@ def _translate(bits: int, steps: tuple) -> int:
     return bits
 
 
+def _scaled(group: AbelianGroup, t: int) -> list[int]:
+    """Element index of t*g for every g, in element-index order."""
+    indices = [0]
+    stride = group.order
+    for d in group.invariant_factors:
+        stride //= d
+        axis = [t * r % d * stride for r in range(d)]
+        indices = [i + a for i in indices for a in axis]
+    return indices
+
+
 def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bool:
     """True when the (cyclic-group) solution is the lexicographic minimum of
     its orbit under multiplication by units."""
@@ -147,7 +192,8 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     Deterministic: elements are ordered lexicographically, pairs by their
     smaller member, and solutions are reported in canonical sorted order
     with a node counter that is identical across runs.  One node is
-    counted per attempted pair.
+    counted per attempted pair; a pair skipped because it is blocked still
+    counts.
     """
     opts = options or SearchOptions()
     if n < 1:
@@ -162,51 +208,83 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     if group.order > _MAX_ORDER:
         raise LeeTileError(f"group order {group.order} too large for the search (max {_MAX_ORDER})")
     elems = list(group.elements())
-    index = group.element_index
-    steps = _translator(group)
-    pairs = []  # per representative: (g, -g, bits of {2g, -2g}, steps(g), steps(-g))
-    for i, e in enumerate(elems):
-        ne = group.neg(e)
-        j = index(ne)
-        if 0 < i < j:
-            doubles = (1 << index(group.add(e, e))) | (1 << index(group.add(ne, ne)))
-            pairs.append((i, j, doubles, steps(e), steps(ne)))
+    moves = list(map(_translator(group), elems))
     m = group.order
+    neg, double, half, third = (
+        _scaled(group, t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
+    )
+    # per representative g, as element indices and steps: (-g, steps(g),
+    # steps(-g), 2g, -2g, g/2, -g/2, steps(g/2), steps(-g/2), g/3, -g/3)
+    table: list = [None] * m
+    reps = []
+    for g in range(1, m):
+        ng = neg[g]
+        if g < ng:
+            hg, hng = half[g], half[ng]
+            table[g] = (
+                ng, moves[g], moves[ng], double[g], double[ng],
+                hg, hng, moves[hg], moves[hng], third[g], third[ng],
+            )
+            reps.append(g)
+    every = sum(1 << i for i in reps)
     reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and m > 1
     # Under unit multiplication the orbit of r in Z_m is every element with
     # the same gcd with m, so only r == gcd(r, m) may be the first pair.
-    top = [k for k, p in enumerate(pairs) if not reduce_orbits or p[0] == math.gcd(p[0], m)]
+    top = sum(1 << i for i in reps if i == math.gcd(i, m)) if reduce_orbits else every
+    # room[r]: the pairs a node below the top level may try when it has r
+    # pairs still to place, all but the last r - 1; the top level does not
+    # stop early, which the node counts depend on
+    room = [0] + [every & ((2 << reps[-r]) - 1) for r in range(1, n)]
 
-    budget = math.inf if opts.node_budget is None else opts.node_budget
+    # a pair-by-pair walk stops at the first whole count >= node_budget
+    budget = math.inf if opts.node_budget is None else math.ceil(opts.node_budget)
     nodes = 0
     found: list[tuple[int, ...]] = []
 
-    def place(candidates, remaining: int, arms: int, covered: int, chosen: tuple):
+    def count(pairs: int):
+        """Count the pairs set in ``pairs`` as nodes; abort, with the counter
+        at the budget, where the pair-by-pair walk would have stopped."""
         nonlocal nodes
-        for k in candidates:
-            if nodes >= budget:
-                raise _Abort
-            nodes += 1
-            g, ng, doubles, steps_g, steps_ng = pairs[k]
-            sums = _translate(arms, steps_g) | _translate(arms, steps_ng)
-            if sums & covered or doubles & (sums | covered):
-                continue
+        nodes += pairs.bit_count()
+        if nodes > budget:
+            nodes = budget
+            raise _Abort
+
+    def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int, chosen: tuple):
+        free = cand & ~blocked
+        while free:
+            low = free & -free
+            free ^= low
+            passed = cand & ((low << 1) - 1)  # the blocked pairs before g, and g
+            cand ^= passed
+            count(passed)
+            g = low.bit_length() - 1
+            ng, steps_g, steps_ng, dg, dng, hg, hng, steps_hg, steps_hng, tg, tng = table[g]
             if remaining == 1:
                 found.append(chosen + (g, ng))
-            else:
-                # deeper levels stop where too few pairs remain; the top
-                # level does not, which the node counts depend on
-                place(
-                    range(k + 1, len(pairs) - remaining + 2),
-                    remaining - 1,
-                    arms | (1 << g) | (1 << ng),
-                    covered | sums | doubles,
-                    chosen + (g, ng),
-                )
+                continue
+            cov = covered | _translate(arms, steps_g) | _translate(arms, steps_ng) | (1 << dg) | (1 << dng)
+            blk = (
+                blocked
+                | _translate(cov, steps_g)
+                | _translate(cov, steps_ng)
+                | _translate(halves, steps_hg)
+                | _translate(halves, steps_hng)
+                | (1 << tg)
+                | (1 << tng)
+            )
+            child = room[remaining - 1] >> (g + 1) << (g + 1)
+            if child & ~blk:
+                arms_g, halves_g = arms | low | (1 << ng), halves | (1 << hg) | (1 << hng)
+                place(child, remaining - 1, arms_g, halves_g, cov, blk, chosen + (g, ng))
+            else:  # every pair of the child is blocked: count them without a call
+                count(child)
+        count(cand)
 
     exhausted = True
     try:
-        place(top, n, 1, 0, ())  # the identity (index 0) is always an arm
+        # the identity (index 0) is always an arm; it blocks only itself
+        place(top, n, 1, 1, 0, 1, ())
     except _Abort:
         exhausted = False
 

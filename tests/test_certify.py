@@ -169,6 +169,15 @@ def test_recheck_rejects_any_edited_field():
     assert dataclasses.replace(cert, justification="table").recheck() is False
 
 
+@pytest.mark.parametrize("edit", [{"evaluated_value": 12.0}, {"residue_tags": [True, 1]}], ids=repr)
+def test_from_dict_rejects_a_value_of_the_wrong_json_type(edit):
+    # 12.0 == 12 and True == 1 in Python, but not in the JSON they stand for
+    data = certify(16).to_dict()
+    assert data["evaluated_value"] == 12 and data["residue_tags"] == [1, 1]
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(dict(data, **edit))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -303,6 +312,13 @@ def test_summary_from_dict_rejects_edited_fields(edit):
     assert CertificationSummary.from_dict(data).to_dict() == data
     with pytest.raises(ValueError):
         CertificationSummary.from_dict(dict(data, **edit))
+
+
+def test_summary_from_dict_rejects_float_counts():
+    data = json.loads(json.dumps(certify_range(3, 10).to_dict()))
+    data["counts"] = {k: float(v) for k, v in data["counts"].items()}
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(data)
 
 
 def test_summary_from_dict_rejects_reordered_or_repeated_certificates():

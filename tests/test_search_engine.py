@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 
 import pytest
 
@@ -13,7 +15,7 @@ from leetile import (
     search_all,
     search_group,
 )
-from leetile.search_engine import _translate, _translator
+from leetile.search_engine import _orbit_minimal, _scaled, _translate, _translator
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -91,7 +93,7 @@ def test_budget_exhaustion_reported():
         Z13, 2, SearchOptions(use_automorphism_reduction=False, node_budget=3)
     )
     assert not capped.exhausted
-    assert capped.nodes_explored <= 3
+    assert capped.nodes_explored == 3
     assert set(capped.solutions) <= set(full.solutions)
     generous = search_group(
         Z13, 2, SearchOptions(use_automorphism_reduction=False, node_budget=10**6)
@@ -114,6 +116,7 @@ def test_n7_exhausts_with_generous_budget():
     outcome = search_group(group, 7, SearchOptions(node_budget=10**7))
     assert outcome.exhausted
     assert outcome.solutions == ()
+    assert outcome.nodes_explored == 145187
 
 
 def test_order_mismatch_rejected():
@@ -164,7 +167,8 @@ UNREDUCED_NODES = [
     [(True, *case) for case in REDUCED_NODES] + [(False, *case) for case in UNREDUCED_NODES],
 )
 def test_node_counts_pinned(reduce, n, factors, nodes):
-    outcome = search_group(AbelianGroup(factors), n, SearchOptions(use_automorphism_reduction=reduce))
+    options = SearchOptions(use_automorphism_reduction=reduce, node_budget=nodes)
+    outcome = search_group(AbelianGroup(factors), n, options)
     assert outcome.exhausted
     assert outcome.nodes_explored == nodes
 
@@ -187,3 +191,119 @@ def test_group_order_limit():
     assert outcome.nodes_explored == 1000
     with pytest.raises(LeeTileError):
         search_group(AbelianGroup((16745,)), 91, SearchOptions(node_budget=1))
+
+
+@pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9)])
+def test_scaled_matches_group_scale(factors):
+    group = AbelianGroup(factors)
+    for t in (-1, 2, 13):
+        assert _scaled(group, t) == [group.element_index(group.scale(g, t)) for g in group.elements()]
+
+
+# -- reference oracle -----------------------------------------------------------
+
+
+def reference_search(group, n, options):
+    """Pair-by-pair oracle for ``search_group``: each candidate pair is
+    one node and is tested by translating the arm set by g and -g, the
+    packing test of the engine's docstring read literally.  Returns
+    (solutions, nodes_explored, exhausted)."""
+    elems = list(group.elements())
+    index = group.element_index
+    steps = _translator(group)
+    pairs = []  # per representative: (g, -g, bits of {2g, -2g}, steps(g), steps(-g))
+    for i, e in enumerate(elems):
+        ne = group.neg(e)
+        j = index(ne)
+        if 0 < i < j:
+            doubles = (1 << index(group.add(e, e))) | (1 << index(group.add(ne, ne)))
+            pairs.append((i, j, doubles, steps(e), steps(ne)))
+    m = group.order
+    reduce_orbits = options.use_automorphism_reduction and group.is_cyclic() and m > 1
+    top = [k for k, p in enumerate(pairs) if not reduce_orbits or p[0] == math.gcd(p[0], m)]
+    budget = math.inf if options.node_budget is None else options.node_budget
+    nodes = 0
+    found = []
+
+    class Abort(Exception):
+        pass
+
+    def place(candidates, remaining, arms, covered, chosen):
+        nonlocal nodes
+        for k in candidates:
+            if nodes >= budget:
+                raise Abort
+            nodes += 1
+            g, ng, doubles, steps_g, steps_ng = pairs[k]
+            sums = _translate(arms, steps_g) | _translate(arms, steps_ng)
+            if sums & covered or doubles & (sums | covered):
+                continue
+            if remaining == 1:
+                found.append(chosen + (g, ng))
+            else:
+                place(
+                    range(k + 1, len(pairs) - remaining + 2),
+                    remaining - 1,
+                    arms | (1 << g) | (1 << ng),
+                    covered | sums | doubles,
+                    chosen + (g, ng),
+                )
+
+    exhausted = True
+    try:
+        place(top, n, 1, 0, ())
+    except Abort:
+        exhausted = False
+    solutions = sorted(
+        tuple(elems[i] for i in indices)
+        for indices in (tuple(sorted((0,) + sel)) for sel in found)
+        if not reduce_orbits or _orbit_minimal(group, indices)
+    )
+    return tuple(solutions), nodes, exhausted
+
+
+def _assert_matches_reference(group, n, options):
+    outcome = search_group(group, n, options)
+    got = (outcome.solutions, outcome.nodes_explored, outcome.exhausted)
+    assert got == reference_search(group, n, options), (group, n, options)
+    return outcome
+
+
+SMALL_CASES = [
+    pytest.param(n, group, id=f"n{n}-{group.spec_string()}")
+    for n in range(1, 7)
+    for group in enumerate_groups(2 * n * n + 2 * n + 1)
+]
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("n, group", SMALL_CASES)
+def test_matches_reference_exhaustively(n, group, reduce):
+    outcome = _assert_matches_reference(group, n, SearchOptions(use_automorphism_reduction=reduce))
+    assert outcome.exhausted
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("n, factors", [(1, (5,)), (2, (13,)), (3, (25,)), (3, (5, 5))])
+def test_matches_reference_under_every_budget(n, factors, reduce):
+    group = AbelianGroup(factors)
+    _, full, _ = reference_search(group, n, SearchOptions(use_automorphism_reduction=reduce))
+    for budget in range(full + 1):
+        options = SearchOptions(use_automorphism_reduction=reduce, node_budget=budget)
+        _assert_matches_reference(group, n, options)
+
+
+@pytest.mark.parametrize("budget", [2.0, 2.5, 5.25, True])
+def test_matches_reference_under_a_non_int_budget(budget):
+    options = SearchOptions(use_automorphism_reduction=False, node_budget=budget)
+    outcome = _assert_matches_reference(Z13, 2, options)
+    assert type(outcome.nodes_explored) is int
+
+
+def test_matches_reference_under_sampled_budgets():
+    # the reduced Z85 search (n = 6) has 33083 nodes; fixed-seed budgets
+    # cut it at many depths, most inside a run of skipped pairs
+    group = AbelianGroup((85,))
+    budgets = [0, 1, 33082, 33083] + random.Random(85).sample(range(2, 33082), 26)
+    for budget in budgets:
+        _assert_matches_reference(group, 6, SearchOptions(node_budget=budget))
