@@ -13,6 +13,7 @@ may drop the comma (``"0;1;12;5;8"``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,6 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on the first call only: building it
+    costs about a millisecond, more than a small search takes.  Parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 _HANDLERS = {
     "sphere": _cmd_sphere,
     "groups": _cmd_groups,
@@ -260,8 +269,7 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, LeeTileError) as exc:

@@ -52,6 +52,30 @@ candidate mask, and a budget cut falls exactly where a pair-by-pair walk
 would stop.  A child whose candidates are all blocked is counted the same
 way without being entered.
 
+Three shortcuts keep the work per free pair g small:
+
+- The child's blocked set is built cheapest part first: the two T bits,
+  then C' translated by g, then by -g, then the two translations of A/2.
+  Building stops, and the child is counted by popcount, as soon as every
+  pair of the child is blocked.  In the reduced Z113 search (n = 7) the
+  C' translations stop 92% of the children that stop, T 1% and H 6%.
+  The whole set is built only for a child that is entered.
+- The children of a node are nested: the child of g is the pairs of the
+  level below after g.  So once the node's own ``blocked`` covers a child,
+  it covers every later one, as each child's set contains ``blocked``.  The
+  free pairs from there on form the node's tail, which is counted without
+  any translation: its candidate pairs plus each tail child's popcount.
+- The translations and the node counting are written out in the loop,
+  not called, and the budget is checked only before a child is entered,
+  at each solution and at the end of a node.
+
+Node counts do not depend on where these cuts fall: a blocked child is
+counted by popcount whichever part of the set blocked it, and entering a
+child whose pairs are all blocked would count the same pairs.  Between
+two solutions the counts only add, so a popcount in place of a walk, or a
+check made later, cuts the budget where the pair-by-pair walk would: the
+search stops with the same solutions and reports the budget as its count.
+
 Sets of elements are Python ints used as bitsets over the mixed-radix
 (lexicographic) element index.  Translating a set by g is one masked block
 rotation per invariant factor, so accepting a pair is a few big-int shifts
@@ -153,13 +177,6 @@ def _translator(group: AbelianGroup):
     return steps
 
 
-def _translate(bits: int, steps: tuple) -> int:
-    for mask, up, down in steps:
-        low = bits & mask
-        bits = (low << up) | ((bits ^ low) >> down)
-    return bits
-
-
 def _scaled(group: AbelianGroup, t: int) -> list[int]:
     """Element index of t*g for every g, in element-index order."""
     indices = [0]
@@ -213,8 +230,9 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     neg, double, half, third = (
         _scaled(group, t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
     )
-    # per representative g, as element indices and steps: (-g, steps(g),
-    # steps(-g), 2g, -2g, g/2, -g/2, steps(g/2), steps(-g/2), g/3, -g/3)
+    # per representative g: (bits of {g, -g}, -g, steps(g), steps(-g), bits
+    # of {2g, -2g}, bits of {g/2, -g/2}, steps(g/2), steps(-g/2), bits of
+    # {g/3, -g/3})
     table: list = [None] * m
     reps = []
     for g in range(1, m):
@@ -222,8 +240,10 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         if g < ng:
             hg, hng = half[g], half[ng]
             table[g] = (
-                ng, moves[g], moves[ng], double[g], double[ng],
-                hg, hng, moves[hg], moves[hng], third[g], third[ng],
+                (1 << g) | (1 << ng), ng, moves[g], moves[ng],
+                (1 << double[g]) | (1 << double[ng]),
+                (1 << hg) | (1 << hng), moves[hg], moves[hng],
+                (1 << third[g]) | (1 << third[ng]),
             )
             reps.append(g)
     every = sum(1 << i for i in reps)
@@ -236,61 +256,109 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     # stop early, which the node counts depend on
     room = [0] + [every & ((2 << reps[-r]) - 1) for r in range(1, n)]
 
-    # a pair-by-pair walk stops at the first whole count >= node_budget
+    # a pair-by-pair walk stops at the first whole count >= node_budget; the
+    # counts below raise _Abort once past it, and the counter is cut back
     budget = math.inf if opts.node_budget is None else math.ceil(opts.node_budget)
     nodes = 0
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []  # the arm set of each solution, as a bitset
 
-    def count(pairs: int):
-        """Count the pairs set in ``pairs`` as nodes; abort, with the counter
-        at the budget, where the pair-by-pair walk would have stopped."""
+    def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int):
         nonlocal nodes
-        nodes += pairs.bit_count()
-        if nodes > budget:
-            nodes = budget
-            raise _Abort
-
-    def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int, chosen: tuple):
         free = cand & ~blocked
-        while free:
-            low = free & -free
-            free ^= low
-            passed = cand & ((low << 1) - 1)  # the blocked pairs before g, and g
-            cand ^= passed
-            count(passed)
+        if remaining == 1:  # each free pair completes an arm set
+            while free:
+                low = free & -free
+                free ^= low
+                passed = cand & ((low << 1) - 1)  # the blocked pairs before g, and g
+                cand ^= passed
+                nodes += passed.bit_count()
+                if nodes > budget:
+                    raise _Abort
+                found.append(arms | table[low.bit_length() - 1][0])
+            nodes += cand.bit_count()
+            if nodes > budget:
+                raise _Abort
+            return
+        below = room[remaining - 1]
+        # The child of g holds the pairs of ``below`` after g.  From the
+        # last pair of ``below`` outside ``blocked`` on, every child is
+        # blocked already: those free pairs form the tail.
+        head = free & ((1 << (below & ~blocked).bit_length()) - 1) >> 1
+        tail = free ^ head
+        while head:
+            low = head & -head
+            head ^= low
             g = low.bit_length() - 1
-            ng, steps_g, steps_ng, dg, dng, hg, hng, steps_hg, steps_hng, tg, tng = table[g]
-            if remaining == 1:
-                found.append(chosen + (g, ng))
-                continue
-            cov = covered | _translate(arms, steps_g) | _translate(arms, steps_ng) | (1 << dg) | (1 << dng)
-            blk = (
-                blocked
-                | _translate(cov, steps_g)
-                | _translate(cov, steps_ng)
-                | _translate(halves, steps_hg)
-                | _translate(halves, steps_hng)
-                | (1 << tg)
-                | (1 << tng)
-            )
-            child = room[remaining - 1] >> (g + 1) << (g + 1)
-            if child & ~blk:
-                arms_g, halves_g = arms | low | (1 << ng), halves | (1 << hg) | (1 << hng)
-                place(child, remaining - 1, arms_g, halves_g, cov, blk, chosen + (g, ng))
+            child = below & -(low << 1)
+            pair, ng, steps_g, steps_ng, doubles, halves_g, steps_hg, steps_hng, thirds = table[g]
+            # The child's blocked set, cheapest part first, built only while
+            # some pair of the child is still open: T, C'+g, C'-g, then H.
+            # Each loop over steps translates a set by one element.
+            open_ = child & ~(blocked | thirds)
+            if open_:
+                sums_g = sums_ng = arms
+                for mask, up, down in steps_g:
+                    part = sums_g & mask
+                    sums_g = (part << up) | ((sums_g ^ part) >> down)
+                for mask, up, down in steps_ng:
+                    part = sums_ng & mask
+                    sums_ng = (part << up) | ((sums_ng ^ part) >> down)
+                cov = covered | sums_g | sums_ng | doubles
+                b_g = cov
+                for mask, up, down in steps_g:
+                    part = b_g & mask
+                    b_g = (part << up) | ((b_g ^ part) >> down)
+                open_ &= ~b_g
+            if open_:
+                b_ng = cov
+                for mask, up, down in steps_ng:
+                    part = b_ng & mask
+                    b_ng = (part << up) | ((b_ng ^ part) >> down)
+                open_ &= ~b_ng
+            if open_:
+                h_g = halves
+                for mask, up, down in steps_hg:
+                    part = h_g & mask
+                    h_g = (part << up) | ((h_g ^ part) >> down)
+                open_ &= ~h_g
+            if open_:
+                h_ng = halves
+                for mask, up, down in steps_hng:
+                    part = h_ng & mask
+                    h_ng = (part << up) | ((h_ng ^ part) >> down)
+                open_ &= ~h_ng
+            if open_:
+                # counts only add until a child is entered, so the budget
+                # is checked here, with every pair up to g now counted
+                passed = cand & ((low << 1) - 1)
+                cand ^= passed
+                nodes += passed.bit_count()
+                if nodes > budget:
+                    raise _Abort
+                blk = blocked | thirds | b_g | b_ng | h_g | h_ng
+                place(child, remaining - 1, arms | pair, halves | halves_g, cov, blk)
             else:  # every pair of the child is blocked: count them without a call
-                count(child)
-        count(cand)
+                nodes += child.bit_count()
+        # the rest of the node by popcount: its pairs, and each tail child
+        rest = cand.bit_count()
+        while tail:
+            low = tail & -tail
+            tail ^= low
+            rest += (below >> low.bit_length()).bit_count()
+        nodes += rest
+        if nodes > budget:
+            raise _Abort
 
     exhausted = True
     try:
         # the identity (index 0) is always an arm; it blocks only itself
-        place(top, n, 1, 1, 0, 1, ())
+        place(top, n, 1, 1, 0, 1)
     except _Abort:
-        exhausted = False
+        nodes, exhausted = budget, False
 
     solutions = []
-    for sel in found:
-        indices = tuple(sorted((0,) + sel))
+    for arms in found:
+        indices = tuple(i for i in range(m) if arms >> i & 1)
         if reduce_orbits and not _orbit_minimal(group, indices):
             continue
         solutions.append(tuple(elems[i] for i in indices))

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from leetile.cli import main
+import leetile
+from leetile import cli
+from leetile.cli import build_parser, main
 
 ACCEPT_ARGS = ["verify", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8"]
 
@@ -246,3 +252,49 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of ``leetile`` run in a new interpreter."""
+    src = str(Path(leetile.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "leetile.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout
+
+
+GROUPS_ARGS = ["groups", "--order", "25", "--json"]
+SEARCH_ARGS = ["search", "--n", "3", "--json"]
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    for argv in (GROUPS_ARGS, SEARCH_ARGS, GROUPS_ARGS):
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == _fresh_process(argv)
+
+
+def test_valid_call_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--n", "three"])
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, _ = run(capsys, SEARCH_ARGS)
+    assert (code, out) == _fresh_process(SEARCH_ARGS)
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (GROUPS_ARGS, SEARCH_ARGS, ACCEPT_ARGS):
+            run(capsys, argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1

@@ -15,7 +15,7 @@ from leetile import (
     search_all,
     search_group,
 )
-from leetile.search_engine import _orbit_minimal, _scaled, _translate, _translator
+from leetile.search_engine import _orbit_minimal, _scaled, _translator
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -203,6 +203,15 @@ def test_scaled_matches_group_scale(factors):
 # -- reference oracle -----------------------------------------------------------
 
 
+def _translate(bits, steps):
+    """The set ``bits`` translated by the element whose ``_translator``
+    steps are given."""
+    for mask, up, down in steps:
+        low = bits & mask
+        bits = (low << up) | ((bits ^ low) >> down)
+    return bits
+
+
 def reference_search(group, n, options):
     """Pair-by-pair oracle for ``search_group``: each candidate pair is
     one node and is tested by translating the arm set by g and -g, the
@@ -307,3 +316,25 @@ def test_matches_reference_under_sampled_budgets():
     budgets = [0, 1, 33082, 33083] + random.Random(85).sample(range(2, 33082), 26)
     for budget in budgets:
         _assert_matches_reference(group, 6, SearchOptions(node_budget=budget))
+
+
+# Budgets that cut the engine where it counts a child without a call, the
+# pairs before an entered child, and the popcount tail of a node.  Every
+# budget of the reduced Z41 search, fixed-seed samples of the
+# unreduced Z41 one, and the reduced Z113 (n = 7) search cut at its last
+# node, past it, and at sampled depths.
+CUT_CASES = [
+    pytest.param(4, (41,), True, range(318), id="n4-Z41-every"),
+    pytest.param(4, (41,), False, random.Random(41).sample(range(1960), 200), id="n4-Z41-noreduce"),
+    pytest.param(
+        7, (113,), True, [0, 1, 145186, 145187] + random.Random(113).sample(range(2, 145186), 12),
+        id="n7-Z113",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, factors, reduce, budgets", CUT_CASES)
+def test_matches_reference_where_counting_shortcuts_cut(n, factors, reduce, budgets):
+    group = AbelianGroup(factors)
+    for budget in budgets:
+        _assert_matches_reference(group, n, SearchOptions(use_automorphism_reduction=reduce, node_budget=budget))
