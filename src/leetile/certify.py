@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .abelian_groups import AbelianGroup
@@ -185,7 +186,7 @@ def table_verdict(n: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonexistenceCertificate:
     """Machine-checkable verdict for one dimension.
 
@@ -401,6 +402,10 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
 # encoded once with these markers in their place and the text is reused.
 _MARKERS = ("\0n", "\0r3", "\0r5", "\0value")
 
+# Certificates per write of ``_write_summary_json``: about 600 KB of text,
+# so a long range is never held in memory as one string.
+_JSON_CHUNK = 1000
+
 
 def _template(cert: NonexistenceCertificate, pad: str) -> list[str]:
     """The text around the marked values of ``cert``, every line after the
@@ -415,32 +420,38 @@ def _template(cert: NonexistenceCertificate, pad: str) -> list[str]:
     return pieces + [rest]
 
 
-def _certificate_json(certificates, pad: str = "") -> list[str]:
-    """``json.dumps(c.to_dict(), indent=2)`` of each certificate, every line
-    after the first indented by ``pad``.  Witness and search certificates
-    carry data that depends on n and are encoded whole."""
+def _certificate_json(certificates, pad: str = ""):
+    """Yield ``json.dumps(c.to_dict(), indent=2)`` of each certificate,
+    every line after the first indented by ``pad``.  Witness and search
+    certificates carry data that depends on n and are encoded whole."""
     templates = {}
-    texts = []
     for c in certificates:
         if c.justification in (JUSTIFICATION_WITNESS, JUSTIFICATION_SEARCH):
-            texts.append(json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad))
+            yield json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad)
             continue
-        key = (c.justification, c.branch_id)
-        if key not in templates:
-            templates[key] = _template(c, pad)
-        p0, p1, p2, p3, p4 = templates[key]
-        value = c.evaluated_value
-        r3, r5 = c.residue_tags
-        texts.append(f"{p0}{c.n}{p1}{r3}{p2}{r5}{p3}{'null' if value is None else value}{p4}")
-    return texts
+        n = c.n
+        r3, r5 = n % 3, n % 5
+        branch = _BRANCH_BY_RESIDUES[r3, r5]
+        key = (c.justification, branch.branch_id)
+        pieces = templates.get(key)
+        if pieces is None:
+            pieces = templates[key] = _template(c, pad)
+        p0, p1, p2, p3, p4 = pieces
+        value = branch.evaluate(n) if n > branch.threshold else "null"
+        yield f"{p0}{n}{p1}{r3}{p2}{r5}{p3}{value}{p4}"
 
 
-def _summary_json(summary: CertificationSummary, gaps: tuple) -> str:
-    """``json.dumps(summary.to_dict(), indent=2)``, given ``summary.gaps``."""
+def _write_summary_json(summary: CertificationSummary, gaps: tuple, out) -> None:
+    """Write ``json.dumps(summary.to_dict(), indent=2)``, given
+    ``summary.gaps``, to the text stream ``out``: the head, then the
+    certificates ``_JSON_CHUNK`` at a time, then the closing brackets."""
     head = json.dumps({**summary._head(gaps), "certificates": []}, indent=2)
     if not summary.certificates:
-        return head
+        out.write(head)
+        return
+    lead = head[: -len("[]\n}")] + "[\n    "
     texts = _certificate_json(summary.certificates, "    ")
-    texts[0] = head[: -len("[]\n}")] + "[\n    " + texts[0]
-    texts[-1] += "\n  ]\n}"
-    return ",\n    ".join(texts)
+    while chunk := list(islice(texts, _JSON_CHUNK)):
+        out.write(lead + ",\n    ".join(chunk))
+        lead = ",\n    "
+    out.write("\n  ]\n}")

@@ -3,7 +3,8 @@
 One subcommand per subsystem: ``sphere``, ``groups``, ``verify``,
 ``profile``, ``search`` and ``certify``.  Every subcommand accepts
 ``--json`` for machine-readable output.  Exit codes: 0 success or accept,
-1 reject or verification failure, 2 malformed input, 3 certification gap.
+1 reject or verification failure, 2 malformed input, 3 certification gap,
+141 output pipe closed by its reader (``leetile ... | head``).
 
 Group elements on the command line are semicolon-separated residue tuples
 with comma-separated components, e.g. ``"0,0;1,2"``; one-component tuples
@@ -15,10 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
-from .certify import _certificate_json, _summary_json
+from .certify import _certificate_json, _write_summary_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
 from .errors import LeeTileError
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_GAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def parse_arm_string(group: AbelianGroup, text: str) -> tuple:
@@ -182,7 +185,7 @@ def _cmd_certify(args) -> int:
         except LeeTileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GAP
-        print(_certificate_json([cert])[0] if args.json else "\n".join(_certificate_lines(cert)))
+        print(next(_certificate_json([cert])) if args.json else "\n".join(_certificate_lines(cert)))
         return EXIT_OK
     try:
         lo_text, hi_text = args.range.split(":")
@@ -192,7 +195,8 @@ def _cmd_certify(args) -> int:
     summary = _certify_range(lo, hi, search_fallback=args.search_fallback)
     gaps = summary.gaps
     if args.json:
-        print(_summary_json(summary, gaps))
+        _write_summary_json(summary, gaps, sys.stdout)
+        print()
     else:
         print(f"certified {len(summary.certificates)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")
         print("counts: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.counts.items())))
@@ -272,13 +276,25 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
+    except BrokenPipeError:
+        raise  # not malformed input: ``main`` handles it
     except (ValueError, OSError, LeeTileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """``run``, and exit quietly with ``EXIT_PIPE`` once the reader of
+    stdout has gone away."""
+    try:
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe shows here if the output fit the buffer
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the flush at exit
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

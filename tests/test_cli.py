@@ -254,13 +254,17 @@ def test_unknown_subcommand_exits_2(capsys):
     assert info.value.code == 2
 
 
-def _fresh_process(argv):
-    """(exit code, stdout) of ``leetile`` run in a new interpreter."""
+def _leetile_command(argv):
+    """``leetile argv`` as a new interpreter's command line and environment."""
     src = str(Path(leetile.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "leetile.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return [sys.executable, "-m", "leetile.cli", *argv], env
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of ``leetile`` run in a new interpreter."""
+    command, env = _leetile_command(argv)
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
     return done.returncode, done.stdout
 
 
@@ -298,3 +302,40 @@ def test_parser_built_once(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--range", "3:30000", "--json"], ["sphere", "--n", "3", "--r", "30", "--list"]],
+)
+def test_closed_output_pipe_exits_141_quietly(argv):
+    # ``leetile ... | head -c 100``: the reader goes away long before the
+    # output ends, which is not malformed input.
+    command, env = _leetile_command(argv)
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == cli.EXIT_PIPE == 141
+    assert err == b""
+
+
+def test_other_os_errors_stay_malformed_input(capsys, tmp_path):
+    code, out, err = run(capsys, ["verify", "--basis", str(tmp_path / "missing.txt")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+def test_output_pipe_closed_before_the_first_write_exits_141_quietly():
+    # The output fits the buffer, so the closed pipe shows only when it is
+    # flushed; the flush at exit must not raise a second time.
+    command, env = _leetile_command(["sphere", "--n", "3", "--r", "2"])
+    env.pop("PYTHONUNBUFFERED", None)  # which would write, and fail, at once
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")
