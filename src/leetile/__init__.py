@@ -15,7 +15,6 @@ from .certify import (
     branch_for,
     certify,
     certify_range,
-    table_verdict,
 )
 from .errors import (
     ArmCollisionError,
@@ -97,7 +96,6 @@ __all__ = [
     "smith_normal_form",
     "sphere_points",
     "sphere_size",
-    "table_verdict",
     "to_group_model",
     "verify_lattice",
 ]

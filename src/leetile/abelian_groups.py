@@ -275,8 +275,6 @@ def enumerate_groups(order: int) -> list[AbelianGroup]:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if order == 1:
-        return [AbelianGroup(())]
     fac = factorize(order)
     primes = sorted(fac)
     choices = [_partitions(fac[p]) for p in primes]
@@ -356,48 +354,24 @@ class LatticeBasis:
             return cls.from_text(fh.read())
 
 
-def _identity_matrix(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Smith normal form of a square nonsingular integer matrix.
 
-    Returns (D, U, V) with U*M*V = D, D diagonal with d1 | d2 | ... and all
-    diagonal entries positive, and U, V unimodular.  The pivot is always the
-    smallest nonzero absolute value in the remaining submatrix, ties broken
-    by row-major position, which makes the output deterministic.  A
-    singular matrix runs out of nonzero pivots and raises
+    Returns (D, U) with U*M*V = D for some unimodular V, which is not kept;
+    D is diagonal with d1 | d2 | ... and all diagonal entries positive, and
+    U is unimodular.  The elimination runs on the augmented rows [M | I]:
+    row operations act on whole rows and so carry U along in the right
+    half, while column operations touch only the M half.  The pivot is
+    always the smallest nonzero absolute value in the remaining submatrix,
+    ties broken by row-major position, which makes the output
+    deterministic.  A singular matrix runs out of nonzero pivots and raises
     SingularMatrixError.
     """
     rows = getattr(matrix, "rows", matrix)
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    u = _identity_matrix(n)
-    v = _identity_matrix(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+    a = [[*map(int, r), *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
 
     for k in range(n):
         while True:
@@ -412,17 +386,20 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
             if pivot is None:
                 raise SingularMatrixError("matrix is singular")
             pi, pj = pivot
-            if pi != k:
-                swap_rows(k, pi)
+            a[k], a[pi] = a[pi], a[k]
             if pj != k:
-                swap_cols(k, pj)
+                for row in a:
+                    row[k], row[pj] = row[pj], row[k]
             p = a[k][k]
             for i in range(k + 1, n):
                 if a[i][k]:
-                    add_row(i, k, -(a[i][k] // p))
+                    q = a[i][k] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             for j in range(k + 1, n):
                 if a[k][j]:
-                    add_col(j, k, -(a[k][j] // p))
+                    q = a[k][j] // p
+                    for row in a:
+                        row[j] -= q * row[k]
             if any(a[i][k] for i in range(k + 1, n)) or any(a[k][j] for j in range(k + 1, n)):
                 continue  # remainders left smaller entries; re-pick the pivot
             # Pivot must divide the whole remaining submatrix for the
@@ -438,13 +415,11 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
                     break
             if offender is None:
                 break
-            add_row(k, offender, 1)
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
 
-    freeze = lambda m: tuple(tuple(r) for r in m)
-    return freeze(a), freeze(u), freeze(v)
+    return tuple(tuple(r[:n]) for r in a), tuple(tuple(r[n:]) for r in a)
 
 
 def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement, ...]]:
@@ -454,7 +429,7 @@ def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement,
     The induced homomorphism x -> sum x_i * image_i has the column lattice
     as its kernel and is surjective onto the returned group.
     """
-    d, u, _ = smith_normal_form(basis.rows)
+    d, u = smith_normal_form(basis.rows)
     n = basis.n
     keep = [i for i in range(n) if d[i][i] != 1]
     group = AbelianGroup(tuple(d[i][i] for i in keep))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -178,14 +179,6 @@ def branch_for(n: int) -> Branch:
     return _BRANCH_BY_RESIDUES[n % 3, n % 5]
 
 
-def table_verdict(n: int) -> Optional[str]:
-    """Verdict of the embedded table, or None where the table is silent."""
-    lo, hi = TABLE_RANGE
-    if lo <= n <= hi and n not in TABLE_OPEN_CASES:
-        return VERDICT_NONEXISTENT
-    return None
-
-
 @dataclass(frozen=True, slots=True)
 class NonexistenceCertificate:
     """Machine-checkable verdict for one dimension.
@@ -328,8 +321,6 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
         raise LeeTileError(
             f"search fallback for n={n} did not certify (incomplete or found solutions)"
         )
-    if table_verdict(n) != VERDICT_NONEXISTENT:
-        raise LeeTileError(f"no certificate source for n={n}: below threshold and table is silent")
     return NonexistenceCertificate(n, JUSTIFICATION_TABLE)
 
 
@@ -347,7 +338,7 @@ class CertificationSummary:
         """Certificates per justification, keyed in order of first use."""
         return dict(Counter(c.justification for c in self.certificates))
 
-    @property
+    @cached_property
     def gaps(self) -> tuple[int, ...]:
         certified = {c.n for c in self.certificates}
         return tuple(n for n in range(self.lo, self.hi + 1) if n not in certified)
@@ -356,12 +347,12 @@ class CertificationSummary:
     def complete(self) -> bool:
         return not self.gaps
 
-    def _head(self, gaps: tuple) -> dict:
-        """Every field but the certificates, given ``self.gaps``."""
-        return {"lo": self.lo, "hi": self.hi, "counts": self.counts, "complete": not gaps, "gaps": list(gaps)}
+    def _head(self) -> dict:
+        """Every field but the certificates."""
+        return {"lo": self.lo, "hi": self.hi, "counts": self.counts, "complete": self.complete, "gaps": list(self.gaps)}
 
     def to_dict(self) -> dict:
-        return {**self._head(self.gaps), "certificates": [c.to_dict() for c in self.certificates]}
+        return {**self._head(), "certificates": [c.to_dict() for c in self.certificates]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertificationSummary":
@@ -369,16 +360,20 @@ class CertificationSummary:
 
         Raises ValueError unless the certificates are for distinct n in
         [lo, hi] in increasing order and ``counts``, ``gaps`` and
-        ``complete`` are the ones they give, down to JSON types.
+        ``complete`` are the ones they give, down to JSON types.  Every n
+        in [lo, hi] has a certificate or a gap entry, so the work is
+        bounded by the size of the input, however large hi - lo is.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
             raise ValueError(f"a summary needs a list of certificates, got {data!r:.80}")
         lo, hi = data.get("lo"), data.get("hi")
         if type(lo) is not int or type(hi) is not int or not 3 <= lo <= hi:
             raise ValueError(f"a summary needs ints 3 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+        if not isinstance(data.get("gaps"), list) or len(data["certificates"]) + len(data["gaps"]) != hi - lo + 1:
+            raise ValueError(f"summary for [{lo}, {hi}] needs one certificate or gap per dimension")
         summary = cls(lo, hi, tuple(NonexistenceCertificate.from_dict(c) for c in data["certificates"]))
-        ns = [c.n for c in summary.certificates]
-        if ns != sorted(set(ns) & set(range(lo, hi + 1))) or not _same_json(summary.to_dict(), data):
+        ns = [lo - 1, *(c.n for c in summary.certificates), hi + 1]
+        if any(a >= b for a, b in zip(ns, ns[1:])) or not _same_json(summary.to_dict(), data):
             raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
         return summary
 
@@ -441,11 +436,11 @@ def _certificate_json(certificates, pad: str = ""):
         yield f"{p0}{n}{p1}{r3}{p2}{r5}{p3}{value}{p4}"
 
 
-def _write_summary_json(summary: CertificationSummary, gaps: tuple, out) -> None:
-    """Write ``json.dumps(summary.to_dict(), indent=2)``, given
-    ``summary.gaps``, to the text stream ``out``: the head, then the
-    certificates ``_JSON_CHUNK`` at a time, then the closing brackets."""
-    head = json.dumps({**summary._head(gaps), "certificates": []}, indent=2)
+def _write_summary_json(summary: CertificationSummary, out) -> None:
+    """Write ``json.dumps(summary.to_dict(), indent=2)`` to the text stream
+    ``out``: the head, then the certificates ``_JSON_CHUNK`` at a time,
+    then the closing brackets."""
+    head = json.dumps({**summary._head(), "certificates": []}, indent=2)
     if not summary.certificates:
         out.write(head)
         return

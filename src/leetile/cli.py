@@ -195,7 +195,7 @@ def _cmd_certify(args) -> int:
     summary = _certify_range(lo, hi, search_fallback=args.search_fallback)
     gaps = summary.gaps
     if args.json:
-        _write_summary_json(summary, gaps, sys.stdout)
+        _write_summary_json(summary, sys.stdout)
         print()
     else:
         print(f"certified {len(summary.certificates)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -18,13 +19,6 @@ from leetile import (
 from leetile.abelian_groups import project
 
 from conftest import det
-
-
-def matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +103,7 @@ def test_enumerate_order_36():
 
 
 def test_enumerate_trivial():
+    # order 1 takes the general path: no primes, one empty product
     assert [g.invariant_factors for g in enumerate_groups(1)] == [()]
 
 
@@ -195,23 +190,39 @@ def test_factorize_explicit_rejection():
 # ---------------------------------------------------------------------------
 
 
+def assert_snf(m, d, u):
+    """D is a positive divisibility chain on the diagonal, U is unimodular,
+    and the V with U*M*V = D that the function does not return is a
+    unimodular integer matrix: V = (U*M)^-1 * D, computed by sympy."""
+    n = len(m)
+    diag = [d[i][i] for i in range(n)]
+    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    assert all(x > 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+    assert abs(det(u)) == 1
+    v = (sympy.Matrix(u) * sympy.Matrix(m)).inv() * sympy.Matrix(d)
+    assert all(x.is_integer for x in v)
+    assert abs(v.det()) == 1
+
+
 def test_snf_identity():
     eye = ((1, 0), (0, 1))
-    d, u, v = smith_normal_form(eye)
+    d, u = smith_normal_form(eye)
     assert d == eye
-    assert matmul(matmul(u, eye), v) == d
+    assert_snf(eye, d, u)
 
 
 def test_snf_column_example():
     m = ((13, -5), (0, 1))  # columns (13, 0) and (-5, 1)
-    d, u, v = smith_normal_form(m)
+    d, u = smith_normal_form(m)
     assert d == ((1, 0), (0, 13))
-    assert matmul(matmul(u, m), v) == d
+    assert_snf(m, d, u)
 
 
 def test_snf_already_chained():
     m = ((2, 0), (0, 4))
-    d, _, _ = smith_normal_form(m)
+    d, _ = smith_normal_form(m)
     assert d == m
 
 
@@ -236,21 +247,52 @@ def test_snf_random_against_sympy():
         if det(m) == 0:
             continue
         trials += 1
-        d, u, v = smith_normal_form(m)
-        # defining equation and unimodularity
-        assert matmul(matmul(u, m), v) == d
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+        d, u = smith_normal_form(m)
+        assert_snf(m, d, u)
         diag = [d[i][i] for i in range(n)]
-        assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert all(x > 0 for x in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
         assert math.prod(diag) == abs(det(m))
         # independent oracle for the invariant factors
         ref = sympy_snf(sympy.Matrix([list(r) for r in m]))
         ref_diag = sorted(abs(int(ref[i, i])) for i in range(n))
         assert sorted(diag) == ref_diag
+
+
+def snf_digest(matrices):
+    """sha256 over repr((D, U)) of each matrix, or b"singular" where the
+    form raises SingularMatrixError, in order; and the singular count."""
+    h = hashlib.sha256()
+    singular = 0
+    for m in matrices:
+        try:
+            h.update(repr(smith_normal_form(m)).encode())
+        except SingularMatrixError:
+            h.update(b"singular")
+            singular += 1
+    return h.hexdigest(), singular
+
+
+def test_snf_golden():
+    # D and U pin the quotient images and so every witness; the pivot rule,
+    # its row-major tie-break, the offender fold and the sign fix must all
+    # stay as they are.  The digests come from the separate-matrices
+    # elimination that also built V.  2400 matrices of size 1..6 with
+    # entries -20..20, every 25th of size > 1 forced singular (its last row
+    # a combination of the others), then 12 matrices of size 20..24.
+    rng = random.Random(20261018)
+    small = []
+    for t in range(2400):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        if t % 25 == 0 and n > 1:
+            cs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            m[-1] = [sum(c * m[i][j] for i, c in enumerate(cs)) for j in range(n)]
+        small.append(m)
+    large = []
+    for _ in range(12):
+        n = rng.randint(20, 24)
+        large.append([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+    assert snf_digest(small) == ("f719f35dff8e2a14574b239f7c1a98df74fa0b6e26e715a835254f90e06ad17a", 88)
+    assert snf_digest(large) == ("06a5cc8e178254bde0dfbc27640f487f12d19f43d39fd5c55d40bf391353679d", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_certificates_match_to_dict():
 
 def summary_json(summary) -> str:
     out = io.StringIO()
-    _write_summary_json(summary, summary.gaps, out)
+    _write_summary_json(summary, out)
     return out.getvalue()
 
 
@@ -80,7 +80,7 @@ class RecordingStream:
 def test_long_range_is_written_in_bounded_pieces():
     summary = certify_range(3, 30000)
     out = RecordingStream()
-    _write_summary_json(summary, summary.gaps, out)
+    _write_summary_json(summary, out)
     sizes = [len(text.encode()) for text in out.writes]
     assert len(sizes) > 1
     assert max(sizes) < 2_000_000, max(sizes)

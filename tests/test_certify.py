@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -12,7 +13,6 @@ from leetile import (
     certify,
     certify_range,
     check_conditions,
-    table_verdict,
 )
 from leetile.certify import (
     _BRANCHES,
@@ -22,6 +22,7 @@ from leetile.certify import (
     JUSTIFICATION_TABLE,
     JUSTIFICATION_WITNESS,
     TABLE_OPEN_CASES,
+    TABLE_RANGE,
     VERDICT_EXISTS,
     VERDICT_NONEXISTENT,
 )
@@ -115,13 +116,14 @@ def test_residue_pairs_map_to_one_branch_each():
 
 def test_threshold_members_covered_by_table():
     # every dimension a branch leaves to the table must actually be decided
-    # by the table (in range, not an open case)
-    table_dims = set()
-    for n in range(3, max(b.threshold for b in _BRANCHES) + 1):
-        if n <= branch_for(n).threshold:
-            assert table_verdict(n) == VERDICT_NONEXISTENT, n
-            table_dims.add(n)
+    # by the table (in range, not an open case), so certify needs no check
+    table_dims = {
+        n for n in range(3, max(b.threshold for b in _BRANCHES) + 1) if n <= branch_for(n).threshold
+    }
     assert table_dims == {3, 4, 13, 14, 17}
+    lo, hi = TABLE_RANGE
+    assert lo <= min(table_dims) and max(table_dims) <= hi
+    assert not table_dims & TABLE_OPEN_CASES
 
 
 def _round_trip(cert):
@@ -332,3 +334,13 @@ def test_summary_from_dict_rejects_reordered_or_repeated_certificates():
 def test_summary_from_dict_raises_value_error_on_malformed_input(data):
     with pytest.raises(ValueError):
         CertificationSummary.from_dict(data)
+
+
+def test_summary_from_dict_cost_does_not_grow_with_hi():
+    # a few bytes of input must not make the reader walk [lo, hi]
+    data = {"lo": 3, "hi": 10**12, "counts": {}, "complete": True, "gaps": [], "certificates": []}
+    for edited in (data, dict(data, gaps=None), dict(data, gaps={})):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            CertificationSummary.from_dict(edited)
+        assert time.perf_counter() - start < 1
