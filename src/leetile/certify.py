@@ -19,6 +19,7 @@ and value let a reader re-verify every inequality with a calculator.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -256,22 +257,20 @@ class NonexistenceCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonexistenceCertificate":
-        """Rebuild a certificate from ``n``, ``justification`` and ``search``.
+        """Rebuild a certificate from ``n`` and ``search``.
 
-        Raises ValueError unless ``data`` is ``to_dict()`` of ``certify(n)``,
-        or of a search certificate where ``certify(n)`` is a table one, down
-        to JSON types (``12.0`` is not ``12``).  The search outcomes
-        themselves are checked only by ``recheck``.
+        Raises ValueError unless ``data`` equals ``to_dict()`` of ``certify(n)``
+        (or, where that is a table certificate, of a search one) in a single
+        comparison down to JSON types.  Only ``recheck`` runs the search.
         """
         if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
-            raise ValueError(f"a certificate needs an int n >= 1, got {data!r:.80}")
-        cert = cls(data["n"], data.get("justification"), data.get("search"))
-        settled = certify(cert.n)
-        if settled.justification == JUSTIFICATION_TABLE and isinstance(cert.search, dict):
-            settled = cls(cert.n, JUSTIFICATION_SEARCH, cert.search)  # only recheck runs the search
-        if cert != settled or not _same_json(cert.to_dict(), data):
-            raise ValueError(f"certificate for n={cert.n} has fields that do not follow from n")
-        return cert
+            raise ValueError(f"a certificate needs an int n >= 1, got {reprlib.repr(data)}")
+        settled = certify(data["n"])
+        if settled.justification == JUSTIFICATION_TABLE and isinstance(data.get("search"), dict):
+            settled = cls(settled.n, JUSTIFICATION_SEARCH, data["search"])  # only recheck runs the search
+        if not _same_json(settled.to_dict(), data):
+            raise ValueError(f"certificate for n={settled.n} has fields that do not follow from n")
+        return settled
 
 
 def _same_json(a, b) -> bool:
@@ -279,7 +278,7 @@ def _same_json(a, b) -> bool:
     from 12 and true from 1."""
     try:
         return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    except (TypeError, ValueError):  # not JSON: unserializable or circular
+    except (TypeError, ValueError, RecursionError):  # not JSON: unserializable, circular or too deep
         return False
 
 
@@ -358,22 +357,23 @@ class CertificationSummary:
     def from_dict(cls, data: dict) -> "CertificationSummary":
         """Rebuild a summary from ``lo``, ``hi`` and its certificates.
 
-        Raises ValueError unless the certificates are for distinct n in
-        [lo, hi] in increasing order and ``counts``, ``gaps`` and
-        ``complete`` are the ones they give, down to JSON types.  Every n
-        in [lo, hi] has a certificate or a gap entry, so the work is
-        bounded by the size of the input, however large hi - lo is.
+        Checks each certificate once, with ``NonexistenceCertificate.from_dict``,
+        and the head once: raises ValueError unless the certificates are for
+        distinct n in [lo, hi] in increasing order and the other keys are
+        exactly ``_head()``, down to JSON types.  Every n in [lo, hi] needs a
+        certificate or a gap entry, so the work grows with the input, not hi.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
-            raise ValueError(f"a summary needs a list of certificates, got {data!r:.80}")
+            raise ValueError(f"a summary needs a list of certificates, got {reprlib.repr(data)}")
         lo, hi = data.get("lo"), data.get("hi")
         if type(lo) is not int or type(hi) is not int or not 3 <= lo <= hi:
-            raise ValueError(f"a summary needs ints 3 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+            raise ValueError(f"a summary needs ints 3 <= lo <= hi, got {reprlib.repr((lo, hi))}")
         if not isinstance(data.get("gaps"), list) or len(data["certificates"]) + len(data["gaps"]) != hi - lo + 1:
             raise ValueError(f"summary for [{lo}, {hi}] needs one certificate or gap per dimension")
         summary = cls(lo, hi, tuple(NonexistenceCertificate.from_dict(c) for c in data["certificates"]))
         ns = [lo - 1, *(c.n for c in summary.certificates), hi + 1]
-        if any(a >= b for a, b in zip(ns, ns[1:])) or not _same_json(summary.to_dict(), data):
+        head = {k: v for k, v in data.items() if k != "certificates"}
+        if any(a >= b for a, b in zip(ns, ns[1:])) or not _same_json(summary._head(), head):
             raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
         return summary
 

@@ -94,11 +94,15 @@ def _cmd_verify(args) -> int:
     if (args.basis is None) == (args.group is None):
         raise ValueError("give exactly one of --basis or --group")
     if args.basis is not None:
+        if args.n is not None or args.t is not None:
+            raise ValueError("--n and --t apply to --group mode only; a basis file gives n")
         basis = LatticeBasis.from_file(args.basis)
         report = verify_lattice(basis, args.r)
     else:
         if args.n is None or args.t is None:
             raise ValueError("--group mode needs --n and --t")
+        if args.r != 2:
+            raise ValueError(f"--group mode checks radius 2 only, got --r {args.r}")
         group = AbelianGroup.from_spec(args.group)
         arms = parse_arm_string(group, args.t)
         candidate = TilingCandidate.from_arm_set(group, args.n, arms)

@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leetile import (
     AbelianGroup,
@@ -298,9 +300,15 @@ def test_json_round_trip():
     assert CertificationSummary.from_dict(summary.to_dict()) == summary
 
 
+_CERTS_3_10 = certify_range(3, 10).to_dict()["certificates"]
+assert _CERTS_3_10[2]["n"] == 5 and _CERTS_3_10[2]["evaluated_value"] == 10
+
+
 @pytest.mark.parametrize(
     "edit",
     [
+        {"extra": 1},
+        {"certificates": [*_CERTS_3_10[:2], dict(_CERTS_3_10[2], evaluated_value=11), *_CERTS_3_10[3:]]},
         {"complete": False, "gaps": [7]},
         {"counts": {JUSTIFICATION_INEQUALITY: 8}},
         {"counts": {JUSTIFICATION_TABLE: 3, JUSTIFICATION_INEQUALITY: 6}},
@@ -344,3 +352,61 @@ def test_summary_from_dict_cost_does_not_grow_with_hi():
         with pytest.raises(ValueError):
             CertificationSummary.from_dict(edited)
         assert time.perf_counter() - start < 1
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("field", ["note", "n"])
+def test_from_dict_rejects_a_deeply_nested_field(field):
+    # json.dumps and repr both raise RecursionError on it, which must not escape
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(dict(certify(16).to_dict(), **{field: _nested_list(5000)}))
+
+
+@pytest.mark.parametrize("field", ["counts", "lo"])
+def test_summary_from_dict_rejects_a_deeply_nested_field(field):
+    data = certify_range(3, 10).to_dict()
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(dict(data, **{field: _nested_list(5000)}))
+
+
+def test_summary_from_dict_does_not_build_the_summary_dict(monkeypatch):
+    data = json.loads(json.dumps(certify_range(3, 3000).to_dict()))
+
+    def forbidden(self):
+        raise AssertionError("from_dict must check the head and each certificate, not build to_dict()")
+
+    monkeypatch.setattr(CertificationSummary, "to_dict", forbidden)
+    assert CertificationSummary.from_dict(data) == certify_range(3, 3000)
+
+
+_SUMMARY_3_40 = json.loads(json.dumps(certify_range(3, 40).to_dict()))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    index=st.one_of(st.none(), st.integers(0, len(_SUMMARY_3_40["certificates"]) - 1)),
+    choice=st.data(),
+    value=json_values,
+)
+def test_summary_from_dict_rejects_any_replaced_field(index, choice, value):
+    """One head field, or one field of one certificate, replaced by any
+    other JSON value gives ValueError and no other exception."""
+    data = json.loads(json.dumps(_SUMMARY_3_40))
+    target = data if index is None else data["certificates"][index]
+    key = choice.draw(st.sampled_from(sorted(k for k in target if k != "certificates")))
+    assume(json.dumps(value) != json.dumps(target[key]))
+    target[key] = value
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(data)

@@ -85,6 +85,22 @@ def test_verify_requires_one_mode(capsys):
     assert code == 2
 
 
+def test_verify_group_mode_rejects_a_radius_other_than_2(capsys):
+    assert run(capsys, ACCEPT_ARGS + ["--r", "2"])[0] == 0
+    code, out, err = run(capsys, ACCEPT_ARGS + ["--r", "7"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--r" in err
+
+
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--t", "x"], ["--n", "2", "--t", "0;1;12;5;8"]])
+def test_verify_basis_mode_rejects_group_options(capsys, tmp_path, extra):
+    path = tmp_path / "b.txt"
+    path.write_text("2\n13 -5\n0 1\n")
+    code, out, err = run(capsys, ["verify", "--basis", str(path)] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_basis_file(capsys, tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("2\n13 -5\n0 1\n")
