@@ -14,6 +14,13 @@ A certificate stores n, its justification and any search outcomes; every
 other field is derived from n.  ``recheck`` derives it again from n alone
 (re-running a search) and trusts no stored field.  The written polynomial
 and value let a reader re-verify every inequality with a calculator.
+
+A range [lo, hi] is certified in one pass over n.  Above the largest
+branch threshold the certificate is a function of n alone, so the pass
+only checks q(n) > 0 there, and runs ``certify`` at or below it.  The
+summary stores what n cannot give, the gaps and the search certificates;
+its counts, its certificates and its ``--json`` text are derived from n
+when asked for, so writing a range holds no object per dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import json
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -171,6 +177,9 @@ _BRANCHES = (
 
 
 _BRANCH_BY_RESIDUES = {pair: b for b in _BRANCHES for pair in b.residues}
+
+# Above this n every branch is decided by its inequality.
+_TOP_THRESHOLD = max(b.threshold for b in _BRANCHES)
 
 
 def branch_for(n: int) -> Branch:
@@ -325,22 +334,40 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
 
 @dataclass(frozen=True)
 class CertificationSummary:
-    """The certificates found for [lo, hi]; every n in the range without
-    one is a gap."""
+    """The certificates for [lo, hi], stored as what n cannot give: the
+    gaps, every n in the range without a certificate, and the search
+    certificates, the only ones that carry data beyond n.  Every other n
+    in the range has the certificate ``certify(n)``, made only when a
+    caller asks for it."""
 
     lo: int
     hi: int
-    certificates: tuple[NonexistenceCertificate, ...]
+    gaps: tuple[int, ...]
+    searches: tuple[NonexistenceCertificate, ...]
+
+    def _certificates(self, lo: int, hi: int):
+        """Yield the certificate of each n in [lo, hi] that is not a gap."""
+        searches = {c.n: c for c in self.searches}
+        gaps = set(self.gaps)
+        for n in range(lo, hi + 1):
+            if n not in gaps:
+                yield searches.get(n) or certify(n)
+
+    @property
+    def certificates(self) -> tuple[NonexistenceCertificate, ...]:
+        """Every certificate, in increasing n, made anew on each call."""
+        return tuple(self._certificates(self.lo, self.hi))
 
     @property
     def counts(self) -> dict[str, int]:
-        """Certificates per justification, keyed in order of first use."""
-        return dict(Counter(c.justification for c in self.certificates))
-
-    @cached_property
-    def gaps(self) -> tuple[int, ...]:
-        certified = {c.n for c in self.certificates}
-        return tuple(n for n in range(self.lo, self.hi + 1) if n not in certified)
+        """Certificates per justification, keyed in order of first use.
+        Above the top branch threshold every certificate is an inequality
+        one, so only the n at or below it are made."""
+        counts = Counter(c.justification for c in self._certificates(self.lo, min(self.hi, _TOP_THRESHOLD)))
+        above = self.hi - max(self.lo, _TOP_THRESHOLD + 1) + 1 - sum(n > _TOP_THRESHOLD for n in self.gaps)
+        if above > 0:
+            counts[JUSTIFICATION_INEQUALITY] += above
+        return dict(counts)
 
     @property
     def complete(self) -> bool:
@@ -360,7 +387,8 @@ class CertificationSummary:
         Checks each certificate once, with ``NonexistenceCertificate.from_dict``,
         and the head once: raises ValueError unless the certificates are for
         distinct n in [lo, hi] in increasing order and the other keys are
-        exactly ``_head()``, down to JSON types.  Every n in [lo, hi] needs a
+        exactly ``_head()``, down to JSON types, so ``gaps`` must be the exact
+        complement of the certificates.  Every n in [lo, hi] needs a
         certificate or a gap entry, so the work grows with the input, not hi.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
@@ -370,70 +398,98 @@ class CertificationSummary:
             raise ValueError(f"a summary needs ints 3 <= lo <= hi, got {reprlib.repr((lo, hi))}")
         if not isinstance(data.get("gaps"), list) or len(data["certificates"]) + len(data["gaps"]) != hi - lo + 1:
             raise ValueError(f"summary for [{lo}, {hi}] needs one certificate or gap per dimension")
-        summary = cls(lo, hi, tuple(NonexistenceCertificate.from_dict(c) for c in data["certificates"]))
-        ns = [lo - 1, *(c.n for c in summary.certificates), hi + 1]
+        ns, searches = [lo - 1], []
+        for cert in map(NonexistenceCertificate.from_dict, data["certificates"]):
+            ns.append(cert.n)
+            if cert.justification == JUSTIFICATION_SEARCH:
+                searches.append(cert)
+        ns.append(hi + 1)
+        if any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ValueError(f"summary for [{lo}, {hi}] has certificates out of order or outside the range")
+        gaps = tuple(n for a, b in zip(ns, ns[1:]) for n in range(a + 1, b))
+        summary = cls(lo, hi, gaps, tuple(searches))
         head = {k: v for k, v in data.items() if k != "certificates"}
-        if any(a >= b for a, b in zip(ns, ns[1:])) or not _same_json(summary._head(), head):
+        if not _same_json(summary._head(), head):
             raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
         return summary
 
 
 def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> CertificationSummary:
     """Certificates for every n in [lo, hi], lo >= 3.  Any dimension that
-    cannot be certified is recorded as a gap instead of being skipped."""
+    cannot be certified is recorded as a gap instead of being skipped.
+
+    One pass over n: at or below the top branch threshold it runs
+    ``certify(n, search_fallback=...)``; above it, where ``certify(n)`` is
+    the inequality certificate, it only checks q(n) > 0 as ``certify``
+    does, and makes no certificate.
+    """
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got lo={lo}, hi={hi}")
-    certificates = []
-    for n in range(lo, hi + 1):
+    gaps, searches = [], []
+    for n in range(lo, min(hi, _TOP_THRESHOLD) + 1):
         try:
-            certificates.append(certify(n, search_fallback=search_fallback))
+            cert = certify(n, search_fallback=search_fallback)
         except LeeTileError:
-            pass  # no certificate: n shows up in ``gaps``
-    return CertificationSummary(lo=lo, hi=hi, certificates=tuple(certificates))
+            gaps.append(n)
+            continue
+        if cert.justification == JUSTIFICATION_SEARCH:
+            searches.append(cert)
+    start = max(lo, _TOP_THRESHOLD + 1)
+    for r in range(15):  # one residue class of n mod 15, so one branch, at a time
+        a, b, c = _BRANCH_BY_RESIDUES[r % 3, r % 5].poly
+        gaps += [n for n in range(start + (r - start) % 15, hi + 1, 15) if a * n * n + b * n + c <= 0]
+    return CertificationSummary(lo, hi, tuple(sorted(gaps)), tuple(searches))
 
 
-# Two inequality or table certificates of one branch differ only in n, the
-# residue tags and the evaluated value, so each (justification, branch) is
-# encoded once with these markers in their place and the text is reused.
-_MARKERS = ("\0n", "\0r3", "\0r5", "\0value")
+# Two inequality certificates with the same n % 15, so of one branch and
+# with the same residue tags, differ only in n and the evaluated value, so
+# each residue class is encoded once with these markers in their place and
+# the text is reused.
+_MARKERS = ("\0n", "\0value")
 
 # Certificates per write of ``_write_summary_json``: about 600 KB of text,
 # so a long range is never held in memory as one string.
 _JSON_CHUNK = 1000
 
 
-def _template(cert: NonexistenceCertificate, pad: str) -> list[str]:
-    """The text around the marked values of ``cert``, every line after the
-    first indented by ``pad``."""
-    n, r3, r5, value = _MARKERS
-    data = {**cert.to_dict(), "n": n, "residue_tags": [r3, r5], "evaluated_value": value}
-    rest = json.dumps(data, indent=2).replace("\n", "\n" + pad)
-    pieces = []
-    for marker in _MARKERS:
-        head, rest = rest.split(json.dumps(marker), 1)
-        pieces.append(head)
-    return pieces + [rest]
+def _template(n: int, pad: str) -> tuple:
+    """(head, middle, tail, a, b, c): the text of the inequality certificate
+    for n, every line after the first indented by ``pad``, split around n
+    and the evaluated value, and its branch's q(n) = a*n^2 + b*n + c.  It
+    serves every n above the top branch threshold with the same n % 15."""
+    cert = NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
+    marker_n, marker_value = _MARKERS
+    data = {**cert.to_dict(), "n": marker_n, "evaluated_value": marker_value}
+    text = json.dumps(data, indent=2).replace("\n", "\n" + pad)
+    head, rest = text.split(json.dumps(marker_n), 1)
+    middle, tail = rest.split(json.dumps(marker_value), 1)
+    return (head, middle, tail, *cert.poly)
 
 
-def _certificate_json(certificates, pad: str = ""):
-    """Yield ``json.dumps(c.to_dict(), indent=2)`` of each certificate,
-    every line after the first indented by ``pad``.  Witness and search
-    certificates carry data that depends on n and are encoded whole."""
-    templates = {}
-    for c in certificates:
-        if c.justification in (JUSTIFICATION_WITNESS, JUSTIFICATION_SEARCH):
-            yield json.dumps(c.to_dict(), indent=2).replace("\n", "\n" + pad)
+def _certificate_json(summary: CertificationSummary, pad: str = ""):
+    """Yield ``json.dumps(c.to_dict(), indent=2)`` of each certificate of
+    ``summary``, every line after the first indented by ``pad``.
+
+    The n at or below the top branch threshold, where every search
+    certificate lies, get their certificates made and encoded whole.  Above
+    it the writer makes no certificate per n: it fills the template of
+    n % 15 with n and q(n), and makes one certificate per template only, to
+    build it from.
+    """
+    indent = "\n" + pad
+    top = min(summary.hi, _TOP_THRESHOLD)
+    for cert in summary._certificates(summary.lo, top):
+        yield json.dumps(cert.to_dict(), indent=2).replace("\n", indent)
+    gaps = set(summary.gaps)
+    templates = [None] * 15
+    for n in range(max(summary.lo, top + 1), summary.hi + 1):
+        if n in gaps:
             continue
-        n = c.n
-        r3, r5 = n % 3, n % 5
-        branch = _BRANCH_BY_RESIDUES[r3, r5]
-        key = (c.justification, branch.branch_id)
-        pieces = templates.get(key)
-        if pieces is None:
-            pieces = templates[key] = _template(c, pad)
-        p0, p1, p2, p3, p4 = pieces
-        value = branch.evaluate(n) if n > branch.threshold else "null"
-        yield f"{p0}{n}{p1}{r3}{p2}{r5}{p3}{value}{p4}"
+        template = templates[n % 15]
+        if template is None:
+            template = templates[n % 15] = _template(n, pad)
+        head, middle, tail, a, b, c = template
+        yield f"{head}{n}{middle}{a * n * n + b * n + c}{tail}"
 
 
 def _write_summary_json(summary: CertificationSummary, out) -> None:
@@ -441,12 +497,9 @@ def _write_summary_json(summary: CertificationSummary, out) -> None:
     ``out``: the head, then the certificates ``_JSON_CHUNK`` at a time,
     then the closing brackets."""
     head = json.dumps({**summary._head(), "certificates": []}, indent=2)
-    if not summary.certificates:
-        out.write(head)
-        return
-    lead = head[: -len("[]\n}")] + "[\n    "
-    texts = _certificate_json(summary.certificates, "    ")
+    first = lead = head[: -len("[]\n}")] + "[\n    "
+    texts = _certificate_json(summary, "    ")
     while chunk := list(islice(texts, _JSON_CHUNK)):
         out.write(lead + ",\n    ".join(chunk))
         lead = ",\n    "
-    out.write("\n  ]\n}")
+    out.write(head if lead is first else "\n  ]\n}")

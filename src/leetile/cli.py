@@ -20,7 +20,7 @@ import os
 import sys
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
-from .certify import _certificate_json, _write_summary_json
+from .certify import _write_summary_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
 from .errors import LeeTileError
@@ -189,7 +189,7 @@ def _cmd_certify(args) -> int:
         except LeeTileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GAP
-        print(next(_certificate_json([cert])) if args.json else "\n".join(_certificate_lines(cert)))
+        print(json.dumps(cert.to_dict(), indent=2) if args.json else "\n".join(_certificate_lines(cert)))
         return EXIT_OK
     try:
         lo_text, hi_text = args.range.split(":")
@@ -202,7 +202,7 @@ def _cmd_certify(args) -> int:
         _write_summary_json(summary, sys.stdout)
         print()
     else:
-        print(f"certified {len(summary.certificates)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")
+        print(f"certified {hi - lo + 1 - len(gaps)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")
         print("counts: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.counts.items())))
         if gaps:
             print(f"GAPS: {list(gaps)}")

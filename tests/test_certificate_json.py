@@ -1,18 +1,20 @@
-"""The certificate ``--json`` writer encodes each (justification, branch)
-once and fills in the values that depend on n; its text must equal
+"""The certificate ``--json`` writer encodes the inequality certificates of
+each residue class n mod 15 once and fills in n and q(n); its text must equal
 ``json.dumps(..., indent=2)`` of the ``to_dict`` data view, however the
 certificates fall into the chunks it writes."""
 
 import importlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leetile.certify import certify, certify_range
+from leetile.certify import CertificationSummary, certify, certify_range
 from leetile.certify import _JSON_CHUNK, _certificate_json, _write_summary_json
+from leetile.errors import LeeTileError
 
 
 def first_difference(data, text: str):
@@ -26,12 +28,12 @@ def first_difference(data, text: str):
 
 
 def test_certificates_match_to_dict():
-    certs = [certify(n) for n in range(1, 3001)]
-    certs += [certify(3, search_fallback=True), certify(4, search_fallback=True)]
-    texts = list(_certificate_json(certs))
-    assert len(texts) == len(certs)
-    for c, text in zip(certs, texts):
-        assert first_difference(c.to_dict(), text) is None, c.n
+    for summary in (certify_range(3, 3000), certify_range(3, 4, search_fallback=True)):
+        certs = summary.certificates
+        texts = list(_certificate_json(summary))
+        assert len(texts) == len(certs)
+        for c, text in zip(certs, texts):
+            assert first_difference(c.to_dict(), text) is None, c.n
 
 
 def summary_json(summary) -> str:
@@ -92,3 +94,49 @@ def test_long_range_is_written_in_bounded_pieces():
 def test_random_ranges_match_to_dict(bounds):
     summary = certify_range(*bounds)
     assert first_difference(summary.to_dict(), summary_json(summary)) is None
+
+
+def certify_each(lo, hi, search_fallback):
+    """(certificates, gaps) of [lo, hi] from ``certify`` run on each n."""
+    certs, gaps = [], []
+    for n in range(lo, hi + 1):
+        try:
+            certs.append(certify(n, search_fallback=search_fallback))
+        except LeeTileError:
+            gaps.append(n)
+    return tuple(certs), tuple(gaps)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.tuples(st.integers(3, 400), st.integers(3, 400)).map(sorted), st.booleans())
+def test_random_ranges_agree_with_certify_per_n(bounds, search_fallback):
+    """A summary stores only its gaps and search certificates; what it
+    writes, reads back and hands out must still be what ``certify`` gives
+    for each n."""
+    summary = certify_range(*bounds, search_fallback=search_fallback)
+    data = summary.to_dict()
+    assert first_difference(data, summary_json(summary)) is None
+    assert CertificationSummary.from_dict(data) == summary
+    assert (summary.certificates, summary.gaps) == certify_each(*bounds, search_fallback)
+
+
+class CountingSink:
+    def __init__(self):
+        self.nbytes = 0
+
+    def write(self, text: str) -> int:
+        self.nbytes += len(text)
+        return len(text)
+
+
+def test_range_json_memory_does_not_grow_with_the_range():
+    # one object per certificate, about 160 bytes each, would pass 15 MB here
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        _write_summary_json(certify_range(3, 100000), sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.nbytes > 59_000_000  # the whole 59 MB summary went through
+    assert peak < 4_000_000, peak

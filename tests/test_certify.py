@@ -289,6 +289,22 @@ def test_search_fallback_gaps_where_search_cannot_finish():
     assert summary.counts == {JUSTIFICATION_INEQUALITY: 13, JUSTIFICATION_SEARCH: 2}
 
 
+@pytest.mark.parametrize(
+    "lo, hi, search_fallback, counts",
+    [
+        (30, 40, False, [(JUSTIFICATION_INEQUALITY, 11)]),  # above every threshold
+        (24, 24, False, [(JUSTIFICATION_INEQUALITY, 1)]),
+        (3, 23, False, [(JUSTIFICATION_TABLE, 5), (JUSTIFICATION_INEQUALITY, 16)]),
+        (5, 20, False, [(JUSTIFICATION_INEQUALITY, 13), (JUSTIFICATION_TABLE, 3)]),
+        (13, 30, False, [(JUSTIFICATION_TABLE, 3), (JUSTIFICATION_INEQUALITY, 15)]),
+        (3, 30, True, [(JUSTIFICATION_SEARCH, 2), (JUSTIFICATION_INEQUALITY, 23)]),  # gaps 13, 14, 17
+        (13, 30, True, [(JUSTIFICATION_INEQUALITY, 15)]),
+    ],
+)
+def test_range_counts_are_keyed_in_order_of_first_use(lo, hi, search_fallback, counts):
+    assert list(certify_range(lo, hi, search_fallback=search_fallback).counts.items()) == counts
+
+
 def test_json_round_trip():
     for n in range(1, 400):
         cert = certify(n)
@@ -310,6 +326,12 @@ assert _CERTS_3_10[2]["n"] == 5 and _CERTS_3_10[2]["evaluated_value"] == 10
         {"extra": 1},
         {"certificates": [*_CERTS_3_10[:2], dict(_CERTS_3_10[2], evaluated_value=11), *_CERTS_3_10[3:]]},
         {"complete": False, "gaps": [7]},
+        {  # the gap is 10, not 7
+            "certificates": _CERTS_3_10[:-1],
+            "counts": {JUSTIFICATION_TABLE: 2, JUSTIFICATION_INEQUALITY: 5},
+            "complete": False,
+            "gaps": [7],
+        },
         {"counts": {JUSTIFICATION_INEQUALITY: 8}},
         {"counts": {JUSTIFICATION_TABLE: 3, JUSTIFICATION_INEQUALITY: 6}},
         {"lo": 4},
@@ -332,10 +354,12 @@ def test_summary_from_dict_rejects_float_counts():
 
 
 def test_summary_from_dict_rejects_reordered_or_repeated_certificates():
-    certs = certify_range(3, 10).certificates
-    for edited in (certs[::-1], certs + certs[-1:], (certify(11),) + certs[1:]):
+    data = json.loads(json.dumps(certify_range(3, 10).to_dict()))
+    certs = data["certificates"]
+    # each edit keeps one entry per n in [3, 10], as the head claims
+    for edited in (certs[::-1], certs[:-1] + certs[-2:-1], [certify(11).to_dict()] + certs[1:]):
         with pytest.raises(ValueError):
-            CertificationSummary.from_dict(CertificationSummary(3, 10, edited).to_dict())
+            CertificationSummary.from_dict(dict(data, certificates=edited))
 
 
 @pytest.mark.parametrize("data", [None, [1], {}, {"lo": 3, "hi": 10, "certificates": {}}], ids=repr)
