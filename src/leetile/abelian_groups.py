@@ -343,6 +343,8 @@ class LatticeBasis:
         if not tokens:
             raise ValueError("empty basis file")
         n = int(tokens[0])
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
         if len(tokens) != 1 + n * n:
             raise ValueError(f"expected {n * n} entries after the dimension, got {len(tokens) - 1}")
         vals = [int(t) for t in tokens[1:]]
@@ -361,31 +363,38 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     D is diagonal with d1 | d2 | ... and all diagonal entries positive, and
     U is unimodular.  The elimination runs on the augmented rows [M | I]:
     row operations act on whole rows and so carry U along in the right
-    half, while column operations touch only the M half.  The pivot is
-    always the smallest nonzero absolute value in the remaining submatrix,
-    ties broken by row-major position, which makes the output
-    deterministic.  A singular matrix runs out of nonzero pivots and raises
-    SingularMatrixError.
+    half, while column operations touch only the M half, and only the rows
+    whose pivot-column entry is nonzero.  The pivot is always the smallest
+    nonzero absolute value in the remaining submatrix, ties broken by
+    row-major position, which makes the output deterministic; the scan
+    stops at the first unit, which nothing later can beat, and a unit pivot
+    needs no divisibility check.  A singular matrix runs out of nonzero
+    pivots and raises SingularMatrixError.
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    a = [[*map(int, r), *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    a = [[*map(int, r), *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
     for k in range(n):
         while True:
-            pivot = None
-            best = None
+            best = 0
             for i in range(k, n):
+                row = a[i]
                 for j in range(k, n):
-                    val = abs(a[i][j])
-                    if val and (best is None or val < best):
-                        best = val
-                        pivot = (i, j)
-            if pivot is None:
+                    val = row[j]
+                    if val:
+                        if val < 0:
+                            val = -val
+                        if not best or val < best:
+                            best, pi, pj = val, i, j
+                            if val == 1:
+                                break  # nothing later can beat a unit
+                if best == 1:
+                    break
+            if not best:
                 raise SingularMatrixError("matrix is singular")
-            pi, pj = pivot
             a[k], a[pi] = a[pi], a[k]
             if pj != k:
                 for row in a:
@@ -395,11 +404,17 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 if a[i][k]:
                     q = a[i][k] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            # Column k is fixed from here to the end of the round, so the
+            # rows it touches are listed once (after the row pass, which
+            # replaces row objects); rows above k are 0 in column k.
+            touched = [row for row in a[k:] if row[k]]
             for j in range(k + 1, n):
                 if a[k][j]:
                     q = a[k][j] // p
-                    for row in a:
+                    for row in touched:
                         row[j] -= q * row[k]
+            if best == 1:
+                break  # every remainder mod a unit is 0, and so is every offender
             if any(a[i][k] for i in range(k + 1, n)) or any(a[k][j] for j in range(k + 1, n)):
                 continue  # remainders left smaller entries; re-pick the pivot
             # Pivot must divide the whole remaining submatrix for the

@@ -43,7 +43,10 @@ def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[LeeVector,
     ``steps[d][x_d + r]`` of its coordinates, and the walk carries the value
     of each prefix, so a point costs one ``add``.  Coordinates after the last
     one the walk sets are 0, so ``steps[d][r]`` must leave a value unchanged.
-    The walk is lazy: a caller may stop at any point.
+    The walk never looks inside a value: a caller picks the cheapest form,
+    such as an int residue mod m with ``add`` reducing the sum, or a residue
+    tuple added componentwise.  The walk is lazy: a caller may stop at any
+    point.
     """
     LeeSphereSpec(n, r)  # rejects n < 1 and r < 0
     point = [0] * n

@@ -167,6 +167,24 @@ def _volume_and_quotient(basis: LatticeBasis):
     return group.order, group, images
 
 
+# Largest m for which a cyclic quotient's cosets are marked in an m-byte
+# _ResidueSet.  It is zero-filled before the walk, which a collision can stop
+# after a few points, so above this size (over 20 times the 45301 points of
+# the r = 150 plane) the residues go into a plain set that grows with the walk.
+_RESIDUE_SET_MAX = 1 << 20
+
+
+class _ResidueSet(bytearray):
+    """A set of the residues mod m held in m bytes, one per residue, where a
+    set of ints takes tens of bytes per member."""
+
+    def __contains__(self, c):
+        return self[c]
+
+    def add(self, c):
+        self[c] = 1
+
+
 def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     """Geometric verifier for any radius: the basis columns generate a
     lattice whose Lee-sphere translates partition Z^n exactly when |det|
@@ -176,7 +194,11 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     the first point whose coset an earlier point holds, so the reported
     collision (if any) is deterministic.  The walk carries the coset of each
     prefix; a point's coset is that coset plus the image of its last set
-    coordinate, looked up in a table built once per call.
+    coordinate, looked up in a table built once per call.  Over a cyclic
+    quotient Z_m a coset is a plain residue, added as an int and marked in a
+    bytearray of m bytes, or for m above 2^20 in a set, so that a walk a
+    collision stops early never pays for all m; over any other group it is
+    a residue tuple, kept in a set.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -185,21 +207,28 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     volume, group, images = _volume_and_quotient(basis)
     if volume != expected:
         return _reject(FAILED_DETERMINANT, {"determinant": volume, "expected": expected})
-    steps = [[group.scale(img, v) for v in range(-radius, radius + 1)] for img in images]
-    zero = group.identity()
-    seen: set[GroupElement] = set()
-    for point, coset in walk_sphere(n, radius, steps, group.add, zero):
+    span = range(-radius, radius + 1)
+    if group.rank == 1:
+        (m,) = group.invariant_factors
+        steps = [[g * v % m for v in span] for (g,) in images]
+        add, zero = (lambda a, b: (a + b) % m), 0
+        seen = _ResidueSet(m) if m <= _RESIDUE_SET_MAX else set()
+        as_list = lambda c: [c]
+    else:
+        steps = [[group.scale(img, v) for v in span] for img in images]
+        add, zero, seen, as_list = group.add, group.identity(), set(), list
+    for point, coset in walk_sphere(n, radius, steps, add, zero):
         if coset in seen:
             # Only cosets are kept (a point per coset would hold a tuple per
             # sphere point), so the earlier point is found by walking again
             # up to the first one with this coset.
-            first = next(p for p, c in walk_sphere(n, radius, steps, group.add, zero) if c == coset)
+            first = next(p for p, c in walk_sphere(n, radius, steps, add, zero) if c == coset)
             return _reject(
                 FAILED_COLLISION,
                 {
                     "first_point": list(first),
                     "second_point": list(point),
-                    "coset": list(coset),
+                    "coset": as_list(coset),
                 },
             )
         seen.add(coset)

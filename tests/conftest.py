@@ -15,6 +15,57 @@ def det(rows):
     return int(sympy.Matrix([list(r) for r in rows]).det())
 
 
+def kernel_columns(factors, arms):
+    """Columns spanning the kernel of x -> sum x_i * arms[i] onto
+    Z_{d1} x ... x Z_{dk}; arms[i] must be the i-th unit element for i < k."""
+    n, k = len(arms), len(factors)
+    cols = []
+    for i in range(n):
+        col = [0] * n
+        if i < k:
+            col[i] = factors[i]
+        else:
+            col[i] = 1
+            for j in range(k):
+                col[j] = -arms[i][j]
+        cols.append(col)
+    return cols
+
+
+def scrambled(cols, rng, mults=(-2, -1, 1, 2)):
+    """The same lattice under a new basis (column additions with a multiplier
+    drawn from mults, swaps and sign flips), seen through a random signed
+    permutation of the coordinates, which maps every Lee sphere onto itself."""
+    cols = [list(c) for c in cols]
+    n = len(cols)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.choice(mults)
+            cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+        else:
+            cols[i] = [-a for a in cols[i]]
+    rng.shuffle(cols)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[k] * c[perm[k]] for k in range(n)] for c in cols]
+
+
+def random_arms(factors, n, rng):
+    """n elements of Z_{d1} x ... x Z_{dk}, the first k the unit elements,
+    the rest nonzero and distinct up to sign."""
+    k = len(factors)
+    neg = lambda g: tuple(-a % d for a, d in zip(g, factors))
+    arms = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    used = {(0,) * k, *arms, *map(neg, arms)}
+    while len(arms) < n:
+        g = tuple(rng.randrange(d) for d in factors)
+        if g not in used:
+            arms.append(g)
+            used.update((g, neg(g)))
+    return arms
+
+
 @pytest.fixture
 def z5():
     return AbelianGroup((5,))

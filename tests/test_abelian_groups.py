@@ -18,7 +18,7 @@ from leetile import (
 )
 from leetile.abelian_groups import project
 
-from conftest import det
+from conftest import det, kernel_columns, random_arms, scrambled
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,47 @@ def test_snf_golden():
         large.append([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
     assert snf_digest(small) == ("f719f35dff8e2a14574b239f7c1a98df74fa0b6e26e715a835254f90e06ad17a", 88)
     assert snf_digest(large) == ("06a5cc8e178254bde0dfbc27640f487f12d19f43d39fd5c55d40bf391353679d", 0)
+
+
+def test_snf_golden_sparse():
+    # The matrices the geometric verifier meets: mostly 0 and +-1, where the
+    # pivot scan can stop at the first unit.  The digest was recorded with
+    # the full-rescan pivot search, so the pivot rule and its row-major
+    # tie-break among units, the offender fold and the column pass over
+    # the rows with a nonzero pivot-column entry must all leave D and U as
+    # they were.  Every basis is scrambled with multipliers +-1 only, as the
+    # verify benchmark does above dimension 2, so that entries stay small.
+    # Scrambled radius-1 kernel bases at n = 20, 40 and 80,
+    # every index-13 sublattice of Z^2 three times, and radius-2 candidates
+    # of |det| = 2n^2+2n+1 up to n = 40, with and without an arm collision,
+    # over Z_m and over every Z_p x Z_{m/p} with p^2 | m.  Last, radius-1
+    # bases at n = 2..20 with one column times 2 or 3, as in the benchmark's
+    # determinant rejects: the only family here whose elimination meets a
+    # non-unit pivot that fails to divide the rest, and so folds an offender.
+    rng = random.Random(20261019)
+    scramble = lambda cols: scrambled(cols, rng, mults=(-1, 1))
+    radius_1 = lambda n: kernel_columns((2 * n + 1,), [(i,) for i in range(1, n + 1)])
+    cases = []
+    for n in (20, 20, 40, 40, 80):
+        cases.append(scramble(radius_1(n)))
+    sweep = [[(13, 0), (-c, 1)] for c in range(13)] + [[(1, 0), (0, 13)]]
+    cases += [scramble(cols) for cols in sweep for _ in range(3)]
+    for n in [*range(3, 13), 16, 20, 25, 30, 35, 40]:
+        m = 2 * n * n + 2 * n + 1
+        groups = [(m,)] + [(p, m // p) for p in range(3, math.isqrt(m) + 1, 2) if m % (p * p) == 0]
+        for factors in groups:
+            for collide in (False, True):
+                arms = random_arms(factors, n, rng)
+                if collide:
+                    arms[-1] = arms[-2]
+                cases.append(scramble(kernel_columns(factors, arms)))
+    for n in range(2, 21):
+        cols = radius_1(n)
+        i = rng.randrange(n)
+        cols[i] = [v * rng.choice((2, 3)) for v in cols[i]]
+        cases.append(scramble(cols))
+    matrices = [LatticeBasis.from_columns(cols).rows for cols in cases]
+    assert snf_digest(matrices) == ("94363b25e67b9a06913888f42d02503160d64318b77835fcae750f454381eb48", 0)
 
 
 # ---------------------------------------------------------------------------

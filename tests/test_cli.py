@@ -135,6 +135,16 @@ def test_verify_malformed_json_basis(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["-1", "0", "0\n1", "-1\n5"])
+def test_verify_basis_nonpositive_dimension(capsys, tmp_path, text):
+    path = tmp_path / "b.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["verify", "--basis", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dimension must be >= 1")
+
+
 def test_verify_deeply_nested_json_basis(capsys, tmp_path):
     path = tmp_path / "b.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

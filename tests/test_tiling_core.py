@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,7 @@ from leetile.tiling_core import (
     radius2_group_order,
 )
 
-from conftest import ARMS_N2, det
+from conftest import ARMS_N2, det, kernel_columns, random_arms, scrambled
 
 
 def count_pairs(group, arms, target):
@@ -286,57 +287,6 @@ def reference_scan(basis, radius):
     return {"verdict": "accept", "failed_condition": None, "witness": None}
 
 
-def kernel_columns(factors, arms):
-    """Columns spanning the kernel of x -> sum x_i * arms[i] onto
-    Z_{d1} x ... x Z_{dk}; arms[i] must be the i-th unit element for i < k."""
-    n, k = len(arms), len(factors)
-    cols = []
-    for i in range(n):
-        col = [0] * n
-        if i < k:
-            col[i] = factors[i]
-        else:
-            col[i] = 1
-            for j in range(k):
-                col[j] = -arms[i][j]
-        cols.append(col)
-    return cols
-
-
-def scrambled(cols, rng):
-    """The same lattice under a new basis (column additions, swaps and sign
-    flips), seen through a random signed permutation of the coordinates,
-    which maps every Lee sphere onto itself."""
-    cols = [list(c) for c in cols]
-    n = len(cols)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            q = rng.choice((-2, -1, 1, 2))
-            cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
-        else:
-            cols[i] = [-a for a in cols[i]]
-    rng.shuffle(cols)
-    perm = rng.sample(range(n), n)
-    signs = [rng.choice((-1, 1)) for _ in range(n)]
-    return [[signs[k] * c[perm[k]] for k in range(n)] for c in cols]
-
-
-def random_arms(factors, n, rng):
-    """n elements of Z_{d1} x ... x Z_{dk}, the first k the unit elements,
-    the rest nonzero and distinct up to sign."""
-    k = len(factors)
-    neg = lambda g: tuple(-a % d for a, d in zip(g, factors))
-    arms = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    used = {(0,) * k, *arms, *map(neg, arms)}
-    while len(arms) < n:
-        g = tuple(rng.randrange(d) for d in factors)
-        if g not in used:
-            arms.append(g)
-            used.update((g, neg(g)))
-    return arms
-
-
 def oracle_bases():
     rng = random.Random(20261018)
     cases = []  # (columns, radius)
@@ -377,6 +327,58 @@ def test_lattice_matches_reference_scan():
         assert got == reference_scan(basis, radius), (basis.rows, radius)
         verdicts.add(got["failed_condition"])
     assert verdicts == {None, FAILED_COLLISION, FAILED_DETERMINANT}
+
+
+def test_lattice_matches_reference_scan_on_large_bases():
+    # oracle_bases stops at radius and dimension 12; these reach the sizes
+    # of the benchmark's largest bases, on both coset representations:
+    # residues for a cyclic quotient, tuples for Z5 x Z5.
+    rng = random.Random(20261019)
+    cases = [(scrambled([(r + 1, r), (-r, r + 1)], rng), r) for r in (30, 75)]
+    cases += [(scrambled(kernel_columns((81,), [(i,) for i in range(1, 41)]), rng), 1) for _ in range(2)]
+    for factors, n in (((221,), 10), ((5, 5), 3)):
+        cases.append((scrambled(kernel_columns(factors, random_arms(factors, n, rng)), rng), 2))
+    got = []
+    for cols, radius in cases:
+        basis = LatticeBasis.from_columns(cols)
+        report = verify_lattice(basis, radius).to_dict()
+        assert report == reference_scan(basis, radius), (basis.rows, radius)
+        got.append((quotient_map(basis)[0].invariant_factors, report["failed_condition"]))
+    assert got == [
+        ((1861,), None),
+        ((11401,), None),
+        ((81,), None),
+        ((81,), None),
+        ((221,), FAILED_COLLISION),
+        ((5, 5), FAILED_COLLISION),
+    ]
+
+
+def test_early_collision_on_a_large_cyclic_quotient_allocates_little():
+    # Two equal arms make the second sphere point collide with the first.
+    # |S_8(40)| is about 4.7e10, so a coset marker of m bytes would zero-fill
+    # 47 GB before the walk; m = |S_8(10)| = 1256465 is just above the size
+    # up to which the verifier does mark residues in an m-byte array.
+    for n, r in ((10, 8), (40, 8)):
+        m = sphere_size(n, r)
+        arms = [(1,), (1,)] + [(i,) for i in range(2, n)]
+        basis = LatticeBasis.from_columns(kernel_columns((m,), arms))
+        tracemalloc.start()
+        try:
+            report = verify_lattice(basis, r).to_dict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
+        assert report == {
+            "verdict": "reject",
+            "failed_condition": FAILED_COLLISION,
+            "witness": {
+                "first_point": [-8] + [0] * (n - 1),
+                "second_point": [-7, -1] + [0] * (n - 2),
+                "coset": [m - 8],
+            },
+        }
 
 
 def test_radius_zero_and_dimension_one():
