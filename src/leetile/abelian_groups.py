@@ -97,6 +97,15 @@ class AbelianGroup:
             idx = idx * d + r
         return idx
 
+    def element_at(self, index: int) -> GroupElement:
+        """Element at position index of the lexicographic enumeration; the
+        inverse of ``element_index``."""
+        residues = []
+        for d in reversed(self.invariant_factors):
+            index, r = divmod(index, d)
+            residues.append(r)
+        return tuple(reversed(residues))
+
     def is_cyclic(self) -> bool:
         return self.rank <= 1
 

@@ -64,6 +64,9 @@ def test_element_enumeration_lexicographic():
     assert elems == sorted(elems)
     assert len(elems) == 8
     assert [g.element_index(e) for e in elems] == list(range(8))
+    assert [g.element_at(i) for i in range(8)] == elems
+    g = AbelianGroup((5, 5, 65))
+    assert [g.element_at(i) for i in range(g.order)] == list(g.elements())
 
 
 # ---------------------------------------------------------------------------

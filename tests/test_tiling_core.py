@@ -8,9 +8,12 @@ from leetile import (
     AbelianGroup,
     ArmCollisionError,
     LatticeBasis,
+    SearchOptions,
     TilingCandidate,
     check_conditions,
+    enumerate_groups,
     pair_multiplicity,
+    search_all,
     sphere_size,
     to_group_model,
     verify_lattice,
@@ -26,6 +29,7 @@ from leetile.tiling_core import (
     FAILED_QUADRATIC,
     FAILED_SIZE,
     FAILED_SYMMETRY,
+    _sum_codes,
     radius2_group_order,
 )
 
@@ -84,6 +88,104 @@ def test_reject_asymmetric(z13):
 def test_candidate_duplicate_arm_rejected(z13):
     with pytest.raises(ValueError):
         TilingCandidate.from_arm_set(z13, 2, [(0,), (1,), (1,)])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(13,), (-1,), (1.0,), (1, 0)],
+    ids=["out-of-range", "negative", "float", "wrong-length"],
+)
+def test_candidate_arm_outside_the_group_rejected(z13, bad):
+    arms = ((0,), bad, (1,), (12,), (5,))
+    with pytest.raises(ValueError):
+        TilingCandidate(z13, 2, arms)
+    with pytest.raises(ValueError):
+        TilingCandidate.from_arm_set(z13, 2, arms)
+
+
+# ---------------------------------------------------------------------------
+# the integer square against the group-ring square
+# ---------------------------------------------------------------------------
+
+
+def reference_conditions(candidate):
+    """``check_conditions(candidate).to_dict()`` for a symmetric arm set
+    holding the identity, computed in the group ring: the square A * A of
+    the arm element A and the doubled arms ``A.power_map(2)``, read element
+    by element in lexicographic order."""
+    group = candidate.group
+    arms = candidate.arm_element()
+    square = arms * arms
+    doubled = arms.power_map(2).support()
+    for g in group.elements():
+        if g == group.identity():
+            expected = 2 * candidate.n + 1
+        elif g in doubled:
+            expected = 1
+        else:
+            expected = 2
+        actual = square.coefficient(g)
+        if actual != expected:
+            witness = {"element": list(g), "expected": expected, "actual": actual}
+            return {"verdict": "reject", "failed_condition": FAILED_QUADRATIC, "witness": witness}
+    return {"verdict": "accept", "failed_condition": None, "witness": None}
+
+
+def random_symmetric_arms(group, n, rng):
+    """The identity and n random pairs {g, -g}."""
+    arms = {group.identity()}
+    while len(arms) < 2 * n + 1:
+        g = tuple(rng.randrange(d) for d in group.invariant_factors)
+        arms.update((g, group.neg(g)))
+    return tuple(arms)
+
+
+def oracle_candidates():
+    rng = random.Random(20261019)
+    cases = []
+    # n = 28 gives Z1625, Z5 x Z325 and the rank-3 group Z5 x Z5 x Z65
+    for n, trials in ((1, 10), (2, 40), (3, 40), (20, 10), (28, 10)):
+        for group in enumerate_groups(radius2_group_order(n)):
+            cases += [TilingCandidate(group, n, random_symmetric_arms(group, n, rng)) for _ in range(trials)]
+    for n in (1, 2):
+        for outcome in search_all(n, SearchOptions(use_automorphism_reduction=False)):
+            cases += [TilingCandidate(outcome.group, n, sol) for sol in outcome.solutions]
+    for basis, radius in oracle_bases():
+        if radius == 2:
+            try:
+                cases.append(to_group_model(basis))
+            except (ArmCollisionError, ValueError):
+                pass
+    return cases
+
+
+def test_check_conditions_matches_group_ring_square():
+    seen = set()
+    for candidate in oracle_candidates():
+        got = check_conditions(candidate).to_dict()
+        assert got == reference_conditions(candidate), (candidate.group, candidate.arms)
+        seen.add((candidate.group.rank, got["verdict"]))
+    assert seen == {(1, "accept"), (1, "reject"), (2, "reject"), (3, "reject")}
+
+
+@pytest.mark.parametrize("factors", [(5,), (5, 5), (3, 3, 9)])
+def test_sum_codes_fold_to_the_index_of_the_sum(factors):
+    group = AbelianGroup(factors)
+    weights, fold = _sum_codes(group)
+    code = {g: sum(r * w for r, w in zip(g, weights)) for g in group.elements()}
+    for a in group.elements():
+        for b in group.elements():
+            assert fold[code[a] + code[b]] == group.element_index(group.add(a, b))
+
+
+def test_large_interval_arm_set_rejects_at_the_first_element():
+    # {0, +-1, ..., +-150} in Z45301: the element 1 is the sum of 300
+    # ordered pairs (a, 1 - a) with a, 1 - a in [-150, 150].
+    group, n = AbelianGroup((45301,)), 150
+    candidate = TilingCandidate(group, n, tuple((a % 45301,) for a in range(-n, n + 1)))
+    report = check_conditions(candidate).to_dict()
+    assert report["witness"] == {"element": [1], "expected": 2, "actual": 300}
+    assert report == reference_conditions(candidate)
 
 
 # ---------------------------------------------------------------------------
