@@ -3,7 +3,11 @@ isomorphism classes of a given order, and Smith-normal-form quotients of
 integer lattices.
 
 Elements are plain tuples of residues, one per invariant factor, each
-reduced into [0, d_i).  The group object carries the arithmetic.
+reduced into [0, d_i).  The group object carries the arithmetic, the
+lexicographic element index (``strides``) and the carry-free integer codes
+(``sum_codes``) that the search, the verifier and the profiles count on;
+``GroupRingElement`` is their reference in the tests.  Integer inputs must
+be ``int`` exactly: a float or a bool is rejected, never coerced.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2 (drop trivial factors)")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"invariant factor {d!r} is not an int >= 2 (drop trivial factors)")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {factors}")
@@ -52,6 +56,11 @@ class AbelianGroup:
     @cached_property
     def order(self) -> int:
         return math.prod(self.invariant_factors)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Index stride of each residue: g has lexicographic index sum(g_i * strides[i])."""
+        return tuple(math.prod(self.invariant_factors[i + 1:]) for i in range(self.rank))
 
     @cached_property
     def exponent(self) -> int:
@@ -68,7 +77,7 @@ class AbelianGroup:
         return (
             isinstance(g, tuple)
             and len(g) == self.rank
-            and all(isinstance(r, int) and 0 <= r < d for r, d in zip(g, self.invariant_factors))
+            and all(type(r) is int and 0 <= r < d for r, d in zip(g, self.invariant_factors))
         )
 
     def check_element(self, g) -> GroupElement:
@@ -92,19 +101,37 @@ class AbelianGroup:
 
     def element_index(self, g: GroupElement) -> int:
         """Position of g in the lexicographic enumeration."""
-        idx = 0
-        for r, d in zip(g, self.invariant_factors):
-            idx = idx * d + r
-        return idx
+        return sum(map(operator.mul, g, self.strides))
 
     def element_at(self, index: int) -> GroupElement:
         """Element at position index of the lexicographic enumeration; the
         inverse of ``element_index``."""
-        residues = []
-        for d in reversed(self.invariant_factors):
-            index, r = divmod(index, d)
-            residues.append(r)
-        return tuple(reversed(residues))
+        return tuple(index // s % d for s, d in zip(self.strides, self.invariant_factors))
+
+    def scaled_indices(self, t: int) -> list[int]:
+        """Element index of t*g for every g, in element-index order."""
+        indices = [0]
+        for d, s in zip(self.invariant_factors, self.strides):
+            axis = [t * r % d * s for r in range(d)]
+            indices = [i + a for i in indices for a in axis]
+        return indices
+
+    def sum_codes(self) -> tuple[list[int], list[int]]:
+        """Integer codes under which adding two elements never carries.
+
+        code(g) = sum(g_i * weights[i]) gives residue i a digit of width
+        2 d_i - 1, wide enough to hold the sum of two residues, so code(a) +
+        code(b) is the code of the unreduced sum of a and b.  fold maps each
+        such sum to the lexicographic index of the reduced sum a + b.
+        """
+        factors = self.invariant_factors
+        weights = [math.prod(2 * d - 1 for d in factors[i + 1:]) for i in range(self.rank)]
+        first, *rest = factors or (1,)  # the trivial group as Z1: fold is [0]
+        fold = [*range(first), *range(first - 1)]
+        for d in rest:
+            wrap = [*range(d), *range(d - 1)]
+            fold = [f * d + r for f in fold for r in wrap]
+        return weights, fold
 
     def is_cyclic(self) -> bool:
         return self.rank <= 1
@@ -308,11 +335,13 @@ class LatticeBasis:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("basis matrix must be square and nonempty")
+        if any(type(v) is not int for r in rows for v in r):
+            raise ValueError("basis entries must be ints")
 
     @property
     def n(self) -> int:
@@ -323,9 +352,7 @@ class LatticeBasis:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "LatticeBasis":
-        cols = [tuple(int(v) for v in c) for c in columns]
-        n = len(cols)
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
+        return cls(tuple(zip(*columns)))
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeBasis":
@@ -345,8 +372,6 @@ class LatticeBasis:
                 data = data["rows"]
             if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
                 raise ValueError("JSON basis must be a list of rows, each a list of integers")
-            if not all(isinstance(v, int) and not isinstance(v, bool) for row in data for v in row):
-                raise ValueError("JSON basis entries must be integers")
             return cls(tuple(tuple(row) for row in data))
         tokens = text.split()
         if not tokens:
@@ -384,7 +409,9 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    a = [[*map(int, r), *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
+    if any(type(v) is not int for r in rows for v in r):
+        raise ValueError("matrix entries must be ints")
+    a = [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
     for k in range(n):
         while True:

@@ -241,7 +241,7 @@ class NonexistenceCertificate:
         search for a search certificate) and compare it with this one."""
         try:
             return certify(self.n, search_fallback=self.justification == JUSTIFICATION_SEARCH) == self
-        except Exception:
+        except (TypeError, ValueError, LeeTileError):  # an invalid n
             return False
 
     def to_dict(self) -> dict:

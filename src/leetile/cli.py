@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--group mode checks radius 2 only, got --r {args.r}")
         group = AbelianGroup.from_spec(args.group)
         arms = parse_arm_string(group, args.t)
-        candidate = TilingCandidate.from_arm_set(group, args.n, arms)
+        candidate = TilingCandidate(group, args.n, arms)
         report = check_conditions(candidate)
     _emit(report.to_dict(), args.json, _report_lines(report))
     return EXIT_OK if report.accepted else EXIT_REJECT
@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
 def _cmd_profile(args) -> int:
     group = AbelianGroup.from_spec(args.group)
     arms = parse_arm_string(group, args.t)
-    candidate = TilingCandidate.from_arm_set(group, args.n, arms)
+    candidate = TilingCandidate(group, args.n, arms)
     report = check_conditions(candidate)
     if not report.accepted:
         _emit(

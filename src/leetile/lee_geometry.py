@@ -35,7 +35,7 @@ def lee_distance(x, y) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
 
-def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[LeeVector, Any]]:
+def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int], Any]]:
     """Yield ``(point, value)`` for every integer point with
     coordinate-absolute-value sum <= r, in lexicographic order.
 
@@ -46,7 +46,8 @@ def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[LeeVector,
     The walk never looks inside a value: a caller picks the cheapest form,
     such as an int residue mod m with ``add`` reducing the sum, or a residue
     tuple added componentwise.  The walk is lazy: a caller may stop at any
-    point.
+    point.  ``point`` is one list that the walk reuses, changed in place
+    after each yield; a caller that keeps a point copies it.
     """
     LeeSphereSpec(n, r)  # rejects n < 1 and r < 0
     point = [0] * n
@@ -69,7 +70,7 @@ def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[LeeVector,
                 values.append(value)
                 levels.append(iter(range(-rest, rest + 1)))
                 break
-            yield tuple(point), value
+            yield point, value
         else:
             point[d] = 0
             levels.pop()
@@ -81,7 +82,7 @@ def sphere_points(n: int, r: int) -> list[LeeVector]:
     """All integer points with coordinate-absolute-value sum <= r, in
     lexicographic order (so outputs are reproducible)."""
     zeros = [[0] * (2 * r + 1)] * n
-    return [point for point, _ in walk_sphere(n, r, zeros, operator.add, 0)]
+    return [tuple(point) for point, _ in walk_sphere(n, r, zeros, operator.add, 0)]
 
 
 def sphere_size(n: int, r: int) -> int:

@@ -11,14 +11,20 @@ additionally determines an overlap-correction term ``delta`` confined to
 [-2n, 0] along with a lower bound on its small classes.  Closed-form
 predicted profiles exist for n = 1 and n = 2 mod 3; for n = 0 mod 3 only
 residue-class sums are forced.
+
+The product is counted as ``check_conditions`` counts A * A, on the
+group's carry-free element codes (``AbelianGroup.sum_codes``) into a flat
+list over the group; ``GroupRingElement`` is its reference in the tests.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from .abelian_groups import AbelianGroup, GroupElement
 from .errors import RejectedCandidateError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
@@ -155,16 +161,22 @@ def profile(candidate: TilingCandidate, k: int) -> MultiplicityProfile:
     report = check_conditions(candidate)
     if not report.accepted:
         raise RejectedCandidateError(report)
-    arms = candidate.arm_element()
-    product = arms.power_map(k) * arms
-    counts: dict[int, int] = {}
-    for _, c in product.items():
-        counts[c] = counts.get(c, 0) + 1
-    max_index = max(counts) if counts else 0
-    histogram = {i: counts.get(i, 0) for i in range(1, max_index + 1)}
-    histogram[0] = candidate.group.order - sum(histogram.values())
-    histogram = dict(sorted(histogram.items()))
+    classes = Counter(_power_product(candidate.group, candidate.arms, k))
+    histogram = {i: classes[i] for i in range(max(classes) + 1)}
     return MultiplicityProfile(k=k, n=candidate.n, histogram=histogram)
+
+
+def _power_product(group: AbelianGroup, arms: tuple[GroupElement, ...], k: int) -> list[int]:
+    """Coefficients of A^(k) * A in element-index order: at g, the number of
+    arm pairs (a, b) with k*a + b = g, counted on carry-free codes."""
+    weights, fold = group.sum_codes()
+    codes = [sum(map(operator.mul, t, weights)) for t in arms]
+    counts = [0] * group.order
+    for t in arms:
+        a = sum(map(operator.mul, group.scale(t, k), weights))
+        for b in codes:
+            counts[fold[a + b]] += 1
+    return counts
 
 
 def _inclusion_exclusion_count(p: MultiplicityProfile) -> int:

@@ -159,9 +159,7 @@ def _translator(group: AbelianGroup):
     """
     order = group.order
     axes = []
-    stride = order
-    for d in group.invariant_factors:
-        stride //= d
+    for d, stride in zip(group.invariant_factors, group.strides):
         block = d * stride
         repunit = ((1 << order) - 1) // ((1 << block) - 1)
         masks = [((1 << ((d - t) * stride)) - 1) * repunit for t in range(d)]
@@ -175,17 +173,6 @@ def _translator(group: AbelianGroup):
         )
 
     return steps
-
-
-def _scaled(group: AbelianGroup, t: int) -> list[int]:
-    """Element index of t*g for every g, in element-index order."""
-    indices = [0]
-    stride = group.order
-    for d in group.invariant_factors:
-        stride //= d
-        axis = [t * r % d * stride for r in range(d)]
-        indices = [i + a for i in indices for a in axis]
-    return indices
 
 
 def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bool:
@@ -228,7 +215,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     moves = list(map(_translator(group), elems))
     m = group.order
     neg, double, half, third = (
-        _scaled(group, t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
+        group.scaled_indices(t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
     )
     # per representative g: (bits of {g, -g}, -g, steps(g), steps(-g), bits
     # of {2g, -2g}, bits of {g/2, -g/2}, steps(g/2), steps(-g/2), bits of

@@ -8,11 +8,11 @@ Algebraic side (radius 2 only): a candidate is a group G of order
 2n^2 + 2n + 1 together with an arm set of 2n + 1 elements.  It verifies
 when the arm set contains the identity, is closed under negation, and its
 convolution square puts coefficient 2n + 1 on the identity, 1 on every
-doubled arm, and 2 everywhere else.  The square is counted on integer
-element codes into a flat list indexed by lexicographic position, which is
-compared with the pattern in one step; ``GroupRingElement`` multiplication
-computes the same square one residue tuple per term and serves as its
-reference in the tests.
+doubled arm, and 2 everywhere else.  The square is counted on the group's
+carry-free element codes (``AbelianGroup.sum_codes``) into a flat list
+indexed by lexicographic position, which is compared with the pattern in
+one step; ``GroupRingElement`` multiplication computes the same square one
+residue tuple per term and serves as its reference in the tests.
 
 ``to_group_model`` converts a basis with |det| = 2n^2 + 2n + 1 into the
 candidate whose arms are the identity plus the (+/-) images of the standard
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional
+from typing import Optional
 
 from .abelian_groups import AbelianGroup, GroupElement, LatticeBasis, quotient_map
 from .errors import ArmCollisionError, SingularMatrixError
-from .group_ring import GroupRingElement
 from .lee_geometry import sphere_size, walk_sphere
 
 # failed_condition labels carried by rejection reports
@@ -54,19 +53,12 @@ class TilingCandidate:
     arms: tuple[GroupElement, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
         arms = tuple(sorted(map(self.group.check_element, self.arms)))
         if len(set(arms)) != len(arms):
             raise ValueError("arm set contains duplicates")
         object.__setattr__(self, "arms", arms)
-
-    @classmethod
-    def from_arm_set(cls, group: AbelianGroup, n: int, arms: Iterable[GroupElement]) -> "TilingCandidate":
-        return cls(group, n, tuple(arms))
-
-    def arm_element(self) -> GroupRingElement:
-        return GroupRingElement.from_set(self.group, self.arms)
 
 
 @dataclass(frozen=True)
@@ -103,26 +95,6 @@ def _reject(condition: str, witness: Optional[dict] = None) -> VerificationRepor
     return VerificationReport(accepted=False, failed_condition=condition, witness=witness)
 
 
-def _sum_codes(group: AbelianGroup) -> tuple[list[int], list[int]]:
-    """Integer codes under which adding two elements never carries.
-
-    code(g) = sum(g_i * weights[i]) gives residue i a digit of width
-    2 d_i - 1, wide enough to hold the sum of two residues, so
-    code(a) + code(b) is the code of the unreduced sum of a and b.  fold maps
-    each such sum to the lexicographic index of the reduced sum a + b.
-    """
-    first, *rest = group.invariant_factors
-    weights = [1]
-    for d in reversed(rest):
-        weights.append(weights[-1] * (2 * d - 1))
-    weights.reverse()
-    fold = [*range(first), *range(first - 1)]
-    for d in rest:
-        wrap = [*range(d), *range(d - 1)]
-        fold = [f * d + r for f in fold for r in wrap]
-    return weights, fold
-
-
 def check_conditions(candidate: TilingCandidate) -> VerificationReport:
     """Radius-2 algebraic verifier.
 
@@ -132,8 +104,8 @@ def check_conditions(candidate: TilingCandidate) -> VerificationReport:
     with expected and actual coefficients.
 
     The square is counted on plain ints: each arm becomes its carry-free
-    code (``_sum_codes``), so a pair of arms adds to the code of its
-    unreduced sum, which one lookup in the fold table turns into the
+    code (``AbelianGroup.sum_codes``), so a pair of arms adds to the code of
+    its unreduced sum, which one lookup in the fold table turns into the
     lexicographic index of the reduced sum.  Each pair of distinct arms is
     counted once, for both orders.  The counts and the expected pattern are
     two lists over the group, compared in one step; only on a mismatch is
@@ -153,7 +125,7 @@ def check_conditions(candidate: TilingCandidate) -> VerificationReport:
     for t in candidate.arms:
         if group.neg(t) not in arm_set:
             return _reject(FAILED_SYMMETRY, {"element": list(t)})
-    weights, fold = _sum_codes(group)
+    weights, fold = group.sum_codes()
     codes = [sum(map(mul, t, weights)) for t in candidate.arms]
     square = [0] * group.order
     pattern = [2] * group.order

@@ -66,6 +66,15 @@ def random_arms(factors, n, rng):
     return arms
 
 
+def random_symmetric_arms(group, n, rng):
+    """The identity and n random pairs {g, -g}."""
+    arms = {group.identity()}
+    while len(arms) < 2 * n + 1:
+        g = tuple(rng.randrange(d) for d in group.invariant_factors)
+        arms.update((g, group.neg(g)))
+    return tuple(arms)
+
+
 @pytest.fixture
 def z5():
     return AbelianGroup((5,))

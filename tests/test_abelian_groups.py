@@ -11,6 +11,7 @@ from leetile import (
     FactorizationError,
     LatticeBasis,
     SingularMatrixError,
+    TilingCandidate,
     enumerate_groups,
     factorize,
     quotient_map,
@@ -56,6 +57,60 @@ def test_invariant_factor_validation():
         AbelianGroup((1, 5))
     with pytest.raises(ValueError):
         AbelianGroup((4, 6))  # 4 does not divide 6
+
+
+@pytest.mark.parametrize("factors", [(), (7,), (2, 4), (5, 5, 65)])
+def test_strides_number_the_elements_lexicographically(factors):
+    g = AbelianGroup(factors)
+    assert len(g.strides) == g.rank
+    elems = list(g.elements())
+    assert [sum(r * s for r, s in zip(e, g.strides)) for e in elems] == list(range(g.order))
+    assert [g.element_index(e) for e in elems] == list(range(g.order))
+    assert [g.element_at(i) for i in range(g.order)] == elems
+
+
+@pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9), ()])
+def test_scaled_matches_group_scale(factors):
+    group = AbelianGroup(factors)
+    for t in (-1, 2, 13):
+        assert group.scaled_indices(t) == [group.element_index(group.scale(g, t)) for g in group.elements()]
+
+
+@pytest.mark.parametrize("factors", [(5,), (5, 5), (3, 3, 9), ()])
+def test_sum_codes_fold_to_the_index_of_the_sum(factors):
+    group = AbelianGroup(factors)
+    weights, fold = group.sum_codes()
+    code = {g: sum(r * w for r, w in zip(g, weights)) for g in group.elements()}
+    for a in group.elements():
+        for b in group.elements():
+            assert fold[code[a] + code[b]] == group.element_index(group.add(a, b))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AbelianGroup((13,)).check_element((True,)),
+        lambda: AbelianGroup((13.6,)),
+        lambda: AbelianGroup((5.0, 5)),
+        lambda: LatticeBasis(((1.7, 0), (0, 13.9))),
+        lambda: LatticeBasis(((1, 0), (0, True))),
+        lambda: LatticeBasis.from_columns([(13.0, 0), (0, 1)]),
+        lambda: LatticeBasis.from_text("[[13, -5], [0, 1.0]]"),
+        lambda: LatticeBasis.from_text("[[13, -5], [0, true]]"),
+        lambda: smith_normal_form([[2.5, 0], [0, 1]]),
+        lambda: smith_normal_form([[2, 0], [0, True]]),
+        lambda: TilingCandidate(AbelianGroup((13,)), 2.0, ((0,), (1,), (12,), (5,), (8,))),
+        lambda: TilingCandidate(AbelianGroup((5,)), True, ((0,), (1,), (4,))),
+    ],
+    ids=[
+        "bool-residue", "float-factor", "float-factor-chain",
+        "float-basis", "bool-basis", "float-column", "json-float", "json-bool",
+        "float-snf", "bool-snf", "float-n", "bool-n",
+    ],
+)
+def test_non_int_input_rejected_not_coerced(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_element_enumeration_lexicographic():

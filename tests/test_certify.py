@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import time
 
@@ -28,6 +29,8 @@ from leetile.certify import (
     VERDICT_EXISTS,
     VERDICT_NONEXISTENT,
 )
+
+certify_module = importlib.import_module("leetile.certify")  # ``leetile.certify`` is also the function
 
 EXPECTED_THRESHOLDS = {
     "mod3-0": 3,
@@ -240,6 +243,17 @@ def test_from_dict_rejects_a_non_dict(data):
 @pytest.mark.parametrize("n", ["3", None, 0, -4, 3.5, 3.0, True])
 def test_recheck_invalid_n_is_false(n):
     assert dataclasses.replace(certify(3), n=n).recheck() is False
+
+
+def test_recheck_raises_a_fault_in_the_code_it_reruns(monkeypatch):
+    cert = certify(4, search_fallback=True)
+
+    def broken_search(n):
+        raise RuntimeError("search fault")
+
+    monkeypatch.setattr(certify_module, "search_all", broken_search)
+    with pytest.raises(RuntimeError, match="search fault"):
+        cert.recheck()
 
 
 def test_inequality_consistency_over_range():

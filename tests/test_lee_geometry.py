@@ -78,7 +78,7 @@ def test_walk_carries_prefix_values():
     # step of x_d = 0 adds 0, as the walk requires
     for n, r in ((1, 0), (1, 3), (3, 2), (4, 3)):
         steps = [[v * 10**d for v in range(-r, r + 1)] for d in range(n)]
-        walked = list(walk_sphere(n, r, steps, lambda a, b: a + b, 7))
+        walked = [(tuple(p), value) for p, value in walk_sphere(n, r, steps, lambda a, b: a + b, 7)]
         assert [p for p, _ in walked] == sphere_points(n, r)
         assert all(value == 7 + sum(x * 10**d for d, x in enumerate(p)) for p, value in walked)
 
@@ -86,7 +86,8 @@ def test_walk_carries_prefix_values():
 def test_walk_is_lazy():
     calls = []
     walk = walk_sphere(200, 2, [[0] * 5] * 200, lambda a, b: calls.append(b) or a, 0)
-    assert next(walk) == ((-2,) + (0,) * 199, 0)
+    point, value = next(walk)
+    assert (tuple(point), value) == ((-2,) + (0,) * 199, 0)
     assert len(calls) == 1
 
 

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from leetile import (
+    AbelianGroup,
     DeltaReport,
+    GroupRingElement,
     MultiplicityProfile,
     RejectedCandidateError,
     TilingCandidate,
@@ -10,7 +14,9 @@ from leetile import (
     predicted_profile_mod3,
     profile,
 )
-from leetile.profiles import IdentityCheck
+from leetile.profiles import IdentityCheck, _power_product
+
+from conftest import random_symmetric_arms
 
 # Frozen histograms, derived by enumerating all ordered pair sums by hand:
 # n=1 over Z5 with arms {0, 1, 4} and n=2 over Z13 with arms {0, 1, 12, 5, 8}.
@@ -232,8 +238,20 @@ def test_top_class_negation_symmetric(candidate_n1, candidate_n2):
     # the elements receiving the top coefficient form a negation-closed set
     for cand in (candidate_n1, candidate_n2):
         group = cand.group
-        arms = cand.arm_element()
+        arms = GroupRingElement.from_set(group, cand.arms)
         prod = arms.power_map(2) * arms
         top = max(c for _, c in prod.items())
         top_class = {g for g, c in prod.items() if c == top}
         assert {group.neg(g) for g in top_class} == top_class
+
+
+@pytest.mark.parametrize("factors, n", [((5,), 1), ((13,), 2), ((25,), 3), ((5, 5), 3), ((5, 5, 65), 28)])
+def test_power_product_matches_group_ring(factors, n):
+    # random symmetric arm sets: tilings exist only over Z5 and Z13
+    group, rng = AbelianGroup(factors), random.Random(sum(factors) + n)
+    for _ in range(8):
+        arms = random_symmetric_arms(group, n, rng)
+        a = GroupRingElement.from_set(group, arms)
+        for k in (2, 4):
+            product = a.power_map(k) * a
+            assert _power_product(group, arms, k) == [product.coefficient(g) for g in group.elements()]

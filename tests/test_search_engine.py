@@ -15,7 +15,7 @@ from leetile import (
     search_all,
     search_group,
 )
-from leetile.search_engine import _orbit_minimal, _scaled, _translator
+from leetile.search_engine import _orbit_minimal, _translator
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -191,13 +191,6 @@ def test_group_order_limit():
     assert outcome.nodes_explored == 1000
     with pytest.raises(LeeTileError):
         search_group(AbelianGroup((16745,)), 91, SearchOptions(node_budget=1))
-
-
-@pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9)])
-def test_scaled_matches_group_scale(factors):
-    group = AbelianGroup(factors)
-    for t in (-1, 2, 13):
-        assert _scaled(group, t) == [group.element_index(group.scale(g, t)) for g in group.elements()]
 
 
 # -- reference oracle -----------------------------------------------------------
