@@ -16,6 +16,12 @@ from .abelian_groups import AbelianGroup, GroupElement
 from .errors import GroupMismatchError
 
 
+def _check_coefficient(c) -> None:
+    # exactly int, as for residues: bool is an int subclass
+    if type(c) is not int:
+        raise ValueError(f"coefficient {c!r} is not an int")
+
+
 class GroupRingElement:
     __slots__ = ("group", "_coeffs")
 
@@ -23,8 +29,7 @@ class GroupRingElement:
         coeffs = {}
         for g, c in coefficients.items():
             group.check_element(g)
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is not an integer")
+            _check_coefficient(c)
             if c:
                 coeffs[g] = c
         object.__setattr__(self, "group", group)
@@ -50,6 +55,7 @@ class GroupRingElement:
     @classmethod
     def singleton(cls, group: AbelianGroup, g: GroupElement, coefficient: int = 1) -> "GroupRingElement":
         group.check_element(g)
+        _check_coefficient(coefficient)
         return cls._wrap(group, {g: coefficient} if coefficient else {})
 
     @classmethod

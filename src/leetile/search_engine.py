@@ -77,10 +77,20 @@ check made later, cuts the budget where the pair-by-pair walk would: the
 search stops with the same solutions and reports the budget as its count.
 
 Sets of elements are Python ints used as bitsets over the mixed-radix
-(lexicographic) element index.  Translating a set by g is one masked block
-rotation per invariant factor, so accepting a pair is a few big-int shifts
-and ANDs, and each recursion level passes fresh ints down with nothing to
-undo.
+(lexicographic) element index, and each recursion level passes fresh ints
+down with nothing to undo.  The sets the engine translates are carried in
+doubled form, x | x << m for a group of order m: the arms and A/2 from one
+level to the next, and C' once per free pair, as soon as it is built.  The
+top axis (residue 0, the largest index stride) rotates the whole index,
+so translating a doubled set along it is one right shift, and in a cyclic
+group that is the whole translation.  Each lower axis of a non-cyclic
+group adds a masked block rotation, with masks over the doubled width.
+
+A shift leaves stray bits above position m.  They are harmless wherever
+the result is only ANDed with a set of candidate pairs, so a set is masked
+to m bits only where it is stored or doubled again: C' and each arm set
+found.  The per-pair table stays single-width; the pair and its halves are
+doubled only when a child is entered.
 """
 
 from __future__ import annotations
@@ -95,9 +105,10 @@ from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
 _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
-# The translation masks take about order^2 / 16 bytes (16 MiB at this
-# bound).  A budgeted search of Z16381 (n = 90) peaks at 41 MiB RSS in a
-# fresh process, interpreter included (Python 3.11, x86-64 Linux).
+# The per-pair table holds four bitsets per pair, about order^2 / 5 bytes
+# (52 MiB at Z16381); cyclic groups build no translation masks.  A budgeted
+# search of Z16381 (n = 90) peaks at 79 MiB RSS in a fresh process,
+# interpreter included (Python 3.11, x86-64 Linux).
 _MAX_ORDER = 1 << 14
 
 
@@ -149,30 +160,49 @@ class _Abort(Exception):
 
 
 def _translator(group: AbelianGroup):
-    """Return ``steps(g)``: the ``(mask, up, down)`` block rotations that
-    translate a bitset by the element g, one per nonzero residue.
+    """Return ``move(g)``: the ``(shift, steps)`` that translate a doubled
+    bitset by the element g.
 
-    Along a factor d with index stride s, translating by t moves the bits
-    whose residue is below d - t up by t*s and the others down by (d-t)*s;
-    ``mask`` selects the former.  It is one block pattern repeated by a
-    repunit, so building all masks costs O(d) big-int products per factor.
+    A set x over the m elements is carried doubled, ``x | x << m``.  Along
+    the top axis (residue 0, index stride s) translation by t is rotation
+    of the whole index by t*s, which on the doubled word is the one right
+    shift ``>> (m - t*s)``; its low m bits are the rotated set.  In a
+    cyclic group that is the whole translation and ``steps`` is empty.
+    Each lower axis keeps a masked block rotation ``(mask, up, down)``:
+    along a factor d with stride s, the bits whose residue is below d - t
+    move up by t*s and the others down by (d-t)*s.  The blocks tile both
+    halves of the doubled word and the masks repeat over 2m bits, so the
+    rotations keep a doubled word doubled and are applied before the
+    shift.  A mask is one block pattern repeated by a repunit, so building
+    them costs O(d) big-int products per lower factor.
     """
-    order = group.order
+    m = group.order
+    top = group.strides[0]
     axes = []
-    for d, stride in zip(group.invariant_factors, group.strides):
+    for d, stride in zip(group.invariant_factors[1:], group.strides[1:]):
         block = d * stride
-        repunit = ((1 << order) - 1) // ((1 << block) - 1)
+        repunit = ((1 << 2 * m) - 1) // ((1 << block) - 1)
         masks = [((1 << ((d - t) * stride)) - 1) * repunit for t in range(d)]
         axes.append((d, stride, masks))
 
-    def steps(g: GroupElement) -> tuple:
-        return tuple(
+    def move(g: GroupElement) -> tuple:
+        steps = tuple(
             (masks[t], t * stride, (d - t) * stride)
-            for t, (d, stride, masks) in zip(g, axes)
+            for t, (d, stride, masks) in zip(g[1:], axes)
             if t
         )
+        return m - g[0] * top, steps
 
-    return steps
+    return move
+
+
+def _rotate(bits: int, steps: tuple) -> int:
+    """The doubled set ``bits`` translated along the lower axes, one masked
+    block rotation per ``(mask, up, down)`` of ``steps``."""
+    for mask, up, down in steps:
+        part = bits & mask
+        bits = (part << up) | ((bits ^ part) >> down)
+    return bits
 
 
 def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bool:
@@ -217,9 +247,9 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     neg, double, half, third = (
         group.scaled_indices(t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
     )
-    # per representative g: (bits of {g, -g}, -g, steps(g), steps(-g), bits
-    # of {2g, -2g}, bits of {g/2, -g/2}, steps(g/2), steps(-g/2), bits of
-    # {g/3, -g/3})
+    # per representative g: (bits of {g, -g}, move(g), move(-g), bits of
+    # {2g, -2g}, bits of {g/2, -g/2}, move(g/2), move(-g/2), bits of
+    # {g/3, -g/3}), each move a (shift, steps) pair, all bits single-width
     table: list = [None] * m
     reps = []
     for g in range(1, m):
@@ -227,9 +257,9 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         if g < ng:
             hg, hng = half[g], half[ng]
             table[g] = (
-                (1 << g) | (1 << ng), ng, moves[g], moves[ng],
+                (1 << g) | (1 << ng), *moves[g], *moves[ng],
                 (1 << double[g]) | (1 << double[ng]),
-                (1 << hg) | (1 << hng), moves[hg], moves[hng],
+                (1 << hg) | (1 << hng), *moves[hg], *moves[hng],
                 (1 << third[g]) | (1 << third[ng]),
             )
             reps.append(g)
@@ -248,7 +278,11 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     budget = math.inf if opts.node_budget is None else math.ceil(opts.node_budget)
     nodes = 0
     found: list[int] = []  # the arm set of each solution, as a bitset
+    full = (1 << m) - 1
 
+    # ``arms`` and ``halves`` are doubled words, ``covered`` and ``cand`` are
+    # single-width; ``blocked`` may carry bits above m, which every use
+    # clears by ANDing it with a set of pairs
     def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int):
         nonlocal nodes
         free = cand & ~blocked
@@ -261,7 +295,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                 nodes += passed.bit_count()
                 if nodes > budget:
                     raise _Abort
-                found.append(arms | table[low.bit_length() - 1][0])
+                found.append((arms | table[low.bit_length() - 1][0]) & full)
             nodes += cand.bit_count()
             if nodes > budget:
                 raise _Abort
@@ -277,42 +311,29 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
             head ^= low
             g = low.bit_length() - 1
             child = below & -(low << 1)
-            pair, ng, steps_g, steps_ng, doubles, halves_g, steps_hg, steps_hng, thirds = table[g]
+            (pair, shift_g, steps_g, shift_ng, steps_ng, doubles,
+             halves_g, shift_hg, steps_hg, shift_hng, steps_hng, thirds) = table[g]
             # The child's blocked set, cheapest part first, built only while
             # some pair of the child is still open: T, C'+g, C'-g, then H.
-            # Each loop over steps translates a set by one element.
+            # A translation is the lower-axis rotation, which cyclic groups
+            # skip, then the shift; the bits it leaves above m are cleared
+            # by the AND with ``child``.
             open_ = child & ~(blocked | thirds)
             if open_:
-                sums_g = sums_ng = arms
-                for mask, up, down in steps_g:
-                    part = sums_g & mask
-                    sums_g = (part << up) | ((sums_g ^ part) >> down)
-                for mask, up, down in steps_ng:
-                    part = sums_ng & mask
-                    sums_ng = (part << up) | ((sums_ng ^ part) >> down)
-                cov = covered | sums_g | sums_ng | doubles
-                b_g = cov
-                for mask, up, down in steps_g:
-                    part = b_g & mask
-                    b_g = (part << up) | ((b_g ^ part) >> down)
+                sums_g = _rotate(arms, steps_g) if steps_g else arms
+                sums_ng = _rotate(arms, steps_ng) if steps_ng else arms
+                cov = covered | (sums_g >> shift_g | sums_ng >> shift_ng) & full | doubles
+                wide = cov | cov << m
+                b_g = (_rotate(wide, steps_g) if steps_g else wide) >> shift_g
                 open_ &= ~b_g
             if open_:
-                b_ng = cov
-                for mask, up, down in steps_ng:
-                    part = b_ng & mask
-                    b_ng = (part << up) | ((b_ng ^ part) >> down)
+                b_ng = (_rotate(wide, steps_ng) if steps_ng else wide) >> shift_ng
                 open_ &= ~b_ng
             if open_:
-                h_g = halves
-                for mask, up, down in steps_hg:
-                    part = h_g & mask
-                    h_g = (part << up) | ((h_g ^ part) >> down)
+                h_g = (_rotate(halves, steps_hg) if steps_hg else halves) >> shift_hg
                 open_ &= ~h_g
             if open_:
-                h_ng = halves
-                for mask, up, down in steps_hng:
-                    part = h_ng & mask
-                    h_ng = (part << up) | ((h_ng ^ part) >> down)
+                h_ng = (_rotate(halves, steps_hng) if steps_hng else halves) >> shift_hng
                 open_ &= ~h_ng
             if open_:
                 # counts only add until a child is entered, so the budget
@@ -323,7 +344,8 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                 if nodes > budget:
                     raise _Abort
                 blk = blocked | thirds | b_g | b_ng | h_g | h_ng
-                place(child, remaining - 1, arms | pair, halves | halves_g, cov, blk)
+                place(child, remaining - 1, arms | pair | pair << m,
+                      halves | halves_g | halves_g << m, cov, blk)
             else:  # every pair of the child is blocked: count them without a call
                 nodes += child.bit_count()
         # the rest of the node by popcount: its pairs, and each tail child
@@ -338,8 +360,9 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
 
     exhausted = True
     try:
-        # the identity (index 0) is always an arm; it blocks only itself
-        place(top, n, 1, 1, 0, 1)
+        # the identity (index 0) is always an arm and its own half; it
+        # blocks only itself
+        place(top, n, 1 | 1 << m, 1 | 1 << m, 0, 1)
     except _Abort:
         nodes, exhausted = budget, False
 

@@ -25,6 +25,14 @@ def test_construction_drops_zeros():
     assert a.coefficient((2,)) == 0
 
 
+@pytest.mark.parametrize("coefficient", [True, False, 2.5, 2.0, "1", None])
+def test_non_int_coefficient_rejected(coefficient):
+    with pytest.raises(ValueError):
+        GroupRingElement(Z5, {(1,): coefficient})
+    with pytest.raises(ValueError):
+        GroupRingElement.singleton(Z5, (1,), coefficient)
+
+
 def test_from_set_duplicates_rejected():
     with pytest.raises(ValueError):
         GroupRingElement.from_set(Z5, [(0,), (1,), (0,)])

@@ -15,7 +15,7 @@ from leetile import (
     search_all,
     search_group,
 )
-from leetile.search_engine import _orbit_minimal, _translator
+from leetile.search_engine import _orbit_minimal, _rotate, _translator
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -176,12 +176,40 @@ def test_node_counts_pinned(reduce, n, factors, nodes):
 @pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9)])
 def test_bitset_translation_matches_group_add(factors):
     group = AbelianGroup(factors)
-    steps = _translator(group)
+    steps = _reference_translator(group)
     elems = list(group.elements())
     for g in elems:
         for a in elems:
             moved = _translate(1 << group.element_index(a), steps(g))
             assert moved == 1 << group.element_index(group.add(a, g))
+
+
+def _doubled_translation_cases():
+    for factors in [(25,), (5, 5), (3, 3, 9)]:
+        group = AbelianGroup(factors)
+        elems = list(group.elements())
+        yield pytest.param(group, [(a, g) for g in elems for a in elems], id=group.spec_string())
+    for factors in [(29, 29), (5, 5, 65)]:
+        group = AbelianGroup(factors)
+        rng = random.Random(group.order)
+        elems = list(group.elements())
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(2000)]
+        yield pytest.param(group, pairs, id=f"{group.spec_string()}-sampled")
+
+
+@pytest.mark.parametrize("group, pairs", _doubled_translation_cases())
+def test_doubled_translation_matches_group_add(group, pairs):
+    # the engine's translation of a doubled set: the lower-axis rotations,
+    # which must keep the word doubled, then the shift along the top axis
+    m = group.order
+    full = (1 << m) - 1
+    move = _translator(group)
+    for a, g in pairs:
+        x = 1 << group.element_index(a)
+        shift, steps = move(g)
+        rotated = _rotate(x | x << m, steps)
+        assert rotated == (rotated & full) | (rotated & full) << m
+        assert (rotated >> shift) & full == 1 << group.element_index(group.add(a, g))
 
 
 def test_group_order_limit():
@@ -196,9 +224,36 @@ def test_group_order_limit():
 # -- reference oracle -----------------------------------------------------------
 
 
+def _reference_translator(group):
+    """Return ``steps(g)``: the ``(mask, up, down)`` block rotations that
+    translate a single-width bitset by the element g, one per nonzero
+    residue.
+
+    Along a factor d with index stride s, translating by t moves the bits
+    whose residue is below d - t up by t*s and the others down by (d-t)*s;
+    ``mask`` selects the former.
+    """
+    order = group.order
+    axes = []
+    for d, stride in zip(group.invariant_factors, group.strides):
+        block = d * stride
+        repunit = ((1 << order) - 1) // ((1 << block) - 1)
+        masks = [((1 << ((d - t) * stride)) - 1) * repunit for t in range(d)]
+        axes.append((d, stride, masks))
+
+    def steps(g):
+        return tuple(
+            (masks[t], t * stride, (d - t) * stride)
+            for t, (d, stride, masks) in zip(g, axes)
+            if t
+        )
+
+    return steps
+
+
 def _translate(bits, steps):
-    """The set ``bits`` translated by the element whose ``_translator``
-    steps are given."""
+    """The set ``bits`` translated by the element whose
+    ``_reference_translator`` steps are given."""
     for mask, up, down in steps:
         low = bits & mask
         bits = (low << up) | ((bits ^ low) >> down)
@@ -212,7 +267,7 @@ def reference_search(group, n, options):
     (solutions, nodes_explored, exhausted)."""
     elems = list(group.elements())
     index = group.element_index
-    steps = _translator(group)
+    steps = _reference_translator(group)
     pairs = []  # per representative: (g, -g, bits of {2g, -2g}, steps(g), steps(-g))
     for i, e in enumerate(elems):
         ne = group.neg(e)
@@ -331,3 +386,16 @@ def test_matches_reference_where_counting_shortcuts_cut(n, factors, reduce, budg
     group = AbelianGroup(factors)
     for budget in budgets:
         _assert_matches_reference(group, n, SearchOptions(use_automorphism_reduction=reduce, node_budget=budget))
+
+
+# The non-cyclic groups of the larger dimensions, where the lower-axis
+# rotations run on wide words: Z29xZ29 (n = 20), and Z5xZ325 and Z5xZ5xZ65
+# (n = 28), cut at 0, 1 and fixed-seed budgets up to 20000.
+@pytest.mark.parametrize(
+    "n, factors", [(20, (29, 29)), (28, (5, 325)), (28, (5, 5, 65))], ids=["Z29xZ29", "Z5xZ325", "Z5xZ5xZ65"]
+)
+def test_matches_reference_on_non_cyclic_groups(n, factors):
+    group = AbelianGroup(factors)
+    for budget in [0, 1] + sorted(random.Random(group.order).sample(range(2, 20001), 10)):
+        outcome = _assert_matches_reference(group, n, SearchOptions(node_budget=budget))
+        assert not outcome.exhausted
