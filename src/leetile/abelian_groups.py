@@ -397,20 +397,29 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     D is diagonal with d1 | d2 | ... and all diagonal entries positive, and
     U is unimodular.  The elimination runs on the augmented rows [M | I]:
     row operations act on whole rows and so carry U along in the right
-    half, while column operations touch only the M half, and only the rows
-    whose pivot-column entry is nonzero.  The pivot is always the smallest
-    nonzero absolute value in the remaining submatrix, ties broken by
-    row-major position, which makes the output deterministic; the scan
-    stops at the first unit, which nothing later can beat, and a unit pivot
-    needs no divisibility check.  A singular matrix runs out of nonzero
-    pivots and raises SingularMatrixError.
+    half, while column operations touch only the M half.  The rows stay
+    dense, but each round's work follows the pivot row's nonzeros: they are
+    listed once per pivot, each row operation updates only those entries
+    in place, and column operations touch only the rows whose pivot-column
+    entry is nonzero.  The pivot is always the smallest nonzero absolute
+    value in the remaining submatrix, ties broken by row-major position,
+    which makes the output deterministic; the scan stops at the first unit,
+    which nothing later can beat, and a unit pivot needs no divisibility
+    check.  A singular matrix runs out of nonzero pivots and raises
+    SingularMatrixError.
+
+    A ``LatticeBasis`` is taken as it is, its entries having been checked
+    when it was built; any other matrix is checked here.
     """
-    rows = getattr(matrix, "rows", matrix)
+    if isinstance(matrix, LatticeBasis):
+        rows = matrix.rows
+    else:
+        rows = matrix
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        if any(type(v) is not int for r in rows for v in r):
+            raise ValueError("matrix entries must be ints")
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if any(type(v) is not int for r in rows for v in r):
-        raise ValueError("matrix entries must be ints")
     a = [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
     for k in range(n):
@@ -433,25 +442,35 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 raise SingularMatrixError("matrix is singular")
             a[k], a[pi] = a[pi], a[k]
             if pj != k:
-                for row in a:
+                # rows above k are 0 in columns k..n-1
+                for row in a[k:]:
                     row[k], row[pj] = row[pj], row[k]
-            p = a[k][k]
+            pivot_row = a[k]
+            p = pivot_row[k]
+            # (column, entry) of every nonzero of the pivot row, both halves;
+            # the row pass reads them all, the column pass those of M past k.
+            nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
             for i in range(k + 1, n):
-                if a[i][k]:
-                    q = a[i][k] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            # Column k is fixed from here to the end of the round, so the
-            # rows it touches are listed once (after the row pass, which
-            # replaces row objects); rows above k are 0 in column k.
+                row = a[i]
+                if row[k]:
+                    q = row[k] // p
+                    for j, v in nonzero:
+                        row[j] -= q * v
+            if best == 1:
+                # Every entry below the pivot is now 0, so the column pass
+                # changes only the pivot row, and leaves 0 past column k.
+                for j, _ in nonzero:
+                    if k < j < n:
+                        pivot_row[j] = 0
+                break  # every remainder mod a unit is 0, and so is every offender
+            # the pivot row and every row whose remainder in column k is not 0
             touched = [row for row in a[k:] if row[k]]
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // p
+            for j, v in nonzero:
+                if k < j < n:
+                    q = v // p
                     for row in touched:
                         row[j] -= q * row[k]
-            if best == 1:
-                break  # every remainder mod a unit is 0, and so is every offender
-            if any(a[i][k] for i in range(k + 1, n)) or any(a[k][j] for j in range(k + 1, n)):
+            if len(touched) > 1 or any(pivot_row[k + 1 : n]):
                 continue  # remainders left smaller entries; re-pick the pivot
             # Pivot must divide the whole remaining submatrix for the
             # divisibility chain; folding an offending row in and retrying
@@ -466,9 +485,12 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
                     break
             if offender is None:
                 break
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
+            a[k] = [x + y for x, y in zip(pivot_row, a[offender])]
+        if p < 0:
+            # the round ends on a column pass, which leaves the pivot row
+            # nonzero only where it was when its nonzeros were listed
+            for j, _ in nonzero:
+                pivot_row[j] = -pivot_row[j]
 
     return tuple(tuple(r[:n]) for r in a), tuple(tuple(r[n:]) for r in a)
 
@@ -480,7 +502,7 @@ def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement,
     The induced homomorphism x -> sum x_i * image_i has the column lattice
     as its kernel and is surjective onto the returned group.
     """
-    d, u = smith_normal_form(basis.rows)
+    d, u = smith_normal_form(basis)
     n = basis.n
     keep = [i for i in range(n) if d[i][i] != 1]
     group = AbelianGroup(tuple(d[i][i] for i in keep))

@@ -15,16 +15,17 @@ LeeVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LeeSphereSpec:
-    """Dimension and radius of a Lee sphere centered at the origin."""
+    """Dimension and radius of a Lee sphere centered at the origin.  Both
+    must be ``int`` exactly: a float or a bool is rejected, never coerced."""
 
     n: int
     r: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.r < 0:
-            raise ValueError(f"radius must be >= 0, got {self.r}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
+        if type(self.r) is not int or self.r < 0:
+            raise ValueError(f"radius must be an int >= 0, got {self.r!r}")
 
 
 def lee_distance(x, y) -> int:
@@ -49,7 +50,7 @@ def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int],
     point.  ``point`` is one list that the walk reuses, changed in place
     after each yield; a caller that keeps a point copies it.
     """
-    LeeSphereSpec(n, r)  # rejects n < 1 and r < 0
+    LeeSphereSpec(n, r)  # rejects n < 1, r < 0 and any n or r not an int
     point = [0] * n
     # Depth first over the coordinates, one iterator over the values of each
     # open coordinate, kept on a list rather than the call stack so large n

@@ -296,15 +296,30 @@ def test_snf_singular_rejected():
             smith_normal_form(matrix)
 
 
+def _random_kernel_basis(n, rng):
+    """A scrambled kernel basis in dimension n of x -> sum x_i * arms[i]
+    onto a group of order 2n^2 + 2n + 1: Z_m, or Z_p x Z_{m/p} where some
+    p^2 divides m.  Its Smith form meets the sparse, mostly-unit pivots of
+    the geometric verifier."""
+    m = 2 * n * n + 2 * n + 1
+    groups = [(m,)] + [(p, m // p) for p in range(3, math.isqrt(m) + 1, 2) if m % (p * p) == 0]
+    factors = rng.choice(groups)
+    cols = scrambled(kernel_columns(factors, random_arms(factors, n, rng)), rng)
+    return LatticeBasis.from_columns(cols).rows
+
+
 def test_snf_random_against_sympy():
     rng = random.Random(20240811)
-    trials = 0
-    while trials < 40:
+    cases = []
+    while len(cases) < 40:
         n = rng.randint(1, 4)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-        if det(m) == 0:
-            continue
-        trials += 1
+        if det(m) != 0:
+            cases.append(m)
+    # scrambled kernel bases up to n = 12, with determinants 2n^2 + 2n + 1
+    cases += [_random_kernel_basis(n, rng) for n in range(2, 13)]
+    for m in cases:
+        n = len(m)
         d, u = smith_normal_form(m)
         assert_snf(m, d, u)
         diag = [d[i][i] for i in range(n)]
@@ -313,6 +328,106 @@ def test_snf_random_against_sympy():
         ref = sympy_snf(sympy.Matrix([list(r) for r in m]))
         ref_diag = sorted(abs(int(ref[i, i])) for i in range(n))
         assert sorted(diag) == ref_diag
+
+
+def reference_smith_normal_form(matrix):
+    """The elimination ``smith_normal_form`` ran before it followed the
+    pivot row's nonzeros: the same pivot rule, offender fold and sign fix,
+    with each row operation rebuilding all 2n entries of a row and each
+    column swap running over every row.  Kept as the oracle that the
+    faster form must match, D and U alike."""
+    n = len(matrix)
+    a = [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(matrix)]
+    for k in range(n):
+        while True:
+            best = 0
+            for i in range(k, n):
+                row = a[i]
+                for j in range(k, n):
+                    val = row[j]
+                    if val:
+                        if val < 0:
+                            val = -val
+                        if not best or val < best:
+                            best, pi, pj = val, i, j
+                            if val == 1:
+                                break
+                if best == 1:
+                    break
+            if not best:
+                raise SingularMatrixError("matrix is singular")
+            a[k], a[pi] = a[pi], a[k]
+            if pj != k:
+                for row in a:
+                    row[k], row[pj] = row[pj], row[k]
+            p = a[k][k]
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    q = a[i][k] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            touched = [row for row in a[k:] if row[k]]
+            for j in range(k + 1, n):
+                if a[k][j]:
+                    q = a[k][j] // p
+                    for row in touched:
+                        row[j] -= q * row[k]
+            if best == 1:
+                break
+            if any(a[i][k] for i in range(k + 1, n)) or any(a[k][j] for j in range(k + 1, n)):
+                continue
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+    return tuple(tuple(r[:n]) for r in a), tuple(tuple(r[n:]) for r in a)
+
+
+def test_snf_matches_reference_on_dense_matrices():
+    # Same (D, U), or SingularMatrixError from both, on sizes 1..8 with
+    # entries -30..30, every 10th of size > 1 singular (its last row a
+    # combination of the others), and every 7th all 0 and +-1.
+    rng = random.Random(20261020)
+    for t in range(1500):
+        n = rng.randint(1, 8)
+        span = 1 if t % 7 == 0 else 30
+        m = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        if t % 10 == 0 and n > 1:
+            cs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            m[-1] = [sum(c * m[i][j] for i, c in enumerate(cs)) for j in range(n)]
+        try:
+            want = reference_smith_normal_form(m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                smith_normal_form(m)
+        else:
+            assert smith_normal_form(m) == want
+
+
+@pytest.mark.parametrize("n", [60, 100, 150])
+def test_snf_matches_reference_on_large_kernel_bases(n):
+    # Beyond the sizes the golden digests pin, and passed as a LatticeBasis,
+    # whose entries the form does not check again.  Radius-2 candidates
+    # with and without an arm collision, and a radius-1 tiling with one
+    # column doubled, whose elimination meets non-unit pivots.
+    rng = random.Random(n)
+    m = 2 * n * n + 2 * n + 1
+    arms = random_arms((m,), n, rng)
+    collided = arms[:-1] + arms[-2:-1]
+    radius_1 = kernel_columns((2 * n + 1,), [(i,) for i in range(1, n + 1)])
+    i = rng.randrange(n)
+    radius_1[i] = [2 * v for v in radius_1[i]]
+    for cols in (kernel_columns((m,), arms), kernel_columns((m,), collided), radius_1):
+        basis = LatticeBasis.from_columns(scrambled(cols, rng))
+        assert smith_normal_form(basis) == reference_smith_normal_form(basis.rows)
 
 
 def snf_digest(matrices):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leetile import LeeSphereSpec, lee_distance, sphere_points, sphere_size
+from leetile import LatticeBasis, LeeSphereSpec, lee_distance, sphere_points, sphere_size, verify_lattice
 from leetile.lee_geometry import walk_sphere
 
 
@@ -119,3 +119,26 @@ def test_spec_validation():
         sphere_points(2, -1)
     with pytest.raises(ValueError):
         next(walk_sphere(0, 1, [], None, 0))
+
+
+# The Z13 tiling of the plane, whose radius-2 spheres tile Z^2.
+PLANE = LatticeBasis.from_columns([(13, 0), (-5, 1)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LeeSphereSpec(2.0, 2),
+        lambda: LeeSphereSpec(True, 2),
+        lambda: LeeSphereSpec(2, 2.0),
+        lambda: LeeSphereSpec(2, True),
+        lambda: sphere_size(2, 2.0),
+        lambda: sphere_points(True, 1),
+        lambda: verify_lattice(PLANE, True),
+        lambda: verify_lattice(PLANE, 2.0),
+    ],
+    ids=["float-n", "bool-n", "float-r", "bool-r", "size-float-r", "points-bool-n", "verify-bool-r", "verify-float-r"],
+)
+def test_non_int_rejected_not_coerced(make):
+    with pytest.raises(ValueError):
+        make()
