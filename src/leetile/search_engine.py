@@ -54,12 +54,13 @@ way without being entered.
 
 Three shortcuts keep the work per free pair g small:
 
-- The child's blocked set is built cheapest part first: the two T bits,
-  then C' translated by g, then by -g, then the two translations of A/2.
-  Building stops, and the child is counted by popcount, as soon as every
-  pair of the child is blocked.  In the reduced Z113 search (n = 7) the
-  C' translations stop 92% of the children that stop, T 1% and H 6%.
-  The whole set is built only for a child that is entered.
+- The child's blocked set is built cheapest part first, in three
+  stages: the two T bits, then C' translated by g and by -g, then the two
+  translations of A/2.  Building stops, and the child is counted by
+  popcount, as soon as every pair of the child is blocked.  In the reduced
+  Z113 search (n = 7) the C' translations stop 92% of the children that
+  stop, T 1% and H 6%.  The whole set is built only for a child that is
+  entered.
 - The children of a node are nested: the child of g is the pairs of the
   level below after g.  So once the node's own ``blocked`` covers a child,
   it covers every later one, as each child's set contains ``blocked``.  The
@@ -76,21 +77,34 @@ two solutions the counts only add, so a popcount in place of a walk, or a
 check made later, cuts the budget where the pair-by-pair walk would: the
 search stops with the same solutions and reports the budget as its count.
 
-Sets of elements are Python ints used as bitsets over the mixed-radix
-(lexicographic) element index, and each recursion level passes fresh ints
-down with nothing to undo.  The sets the engine translates are carried in
-doubled form, x | x << m for a group of order m: the arms and A/2 from one
-level to the next, and C' once per free pair, as soon as it is built.  The
-top axis (residue 0, the largest index stride) rotates the whole index,
-so translating a doubled set along it is one right shift, and in a cyclic
-group that is the whole translation.  Each lower axis of a non-cyclic
-group adds a masked block rotation, with masks over the doubled width.
+Sets of elements are Python ints used as bitsets, and each recursion
+level passes fresh ints down with nothing to undo.  The layout is padded:
+in Z_{d_0} x ... x Z_{d_{k-1}} the element r sits at bit sum(r_i * w_i),
+with w_{k-1} = 1 and w_i = 3 * d_{i+1} * w_{i+1}, so each axis has room
+for three copies of the one below.  Bit order is still element order, so
+pair order is unchanged.  A word holds c copies of a set when each element
+r is set at every sum((r_i + j_i * d_i) * w_i) with all j_i < c; one
+multiplication by a precomputed product makes the copies.
 
-A shift leaves stray bits above position m.  They are harmless wherever
-the result is only ANDed with a set of candidate pairs, so a set is masked
-to m bits only where it is stored or doubled again: C' and each arm set
-found.  The per-pair table stays single-width; the pair and its halves are
-doubled only when a child is entered.
+Shifting such a word right by the position of -g subtracts (-g_i) mod d_i
+from every digit at once.  A copy that lands at or above 0 on every axis
+is the set translated by g; a digit that would go below 0 borrows instead
+and lands in the third copy of its axis, at or above 2 * d_i.  So the
+shifted word is the translate on one copy fewer: three copies give A+g on
+the two-copy region, two copies give it on the real positions.  In every
+group a translation is one right shift.
+
+The arms are carried in three copies and A/2 in two, so C' = C | (A+g) |
+(A-g) | {2g, -2g} comes out in two copies with no mask and no re-copying,
+and every translation the engine reads is exact on the real positions.
+Bits outside the region a word is exact on never shift into the region
+that is read (a digit at or above 2 * d_i stays at or above d_i), so they
+are harmless wherever the result is only ANDed with a set of candidate
+pairs; only a found arm set is read at the real positions alone.  The
+price is width: a set spans 3^(k-1) * m bits and an arm word 3^k * m, so a
+cyclic group pays 3m bits and a non-cyclic one a factor 3 more per extra
+axis.  Each pair's table entry is built the first time the search reaches
+the pair, so memory follows the work done.
 """
 
 from __future__ import annotations
@@ -105,10 +119,12 @@ from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
 _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
-# The per-pair table holds four bitsets per pair, about order^2 / 5 bytes
-# (52 MiB at Z16381); cyclic groups build no translation masks.  A budgeted
-# search of Z16381 (n = 90) peaks at 79 MiB RSS in a fresh process,
-# interpreter included (Python 3.11, x86-64 Linux).
+# Memory follows the work done: a pair's table entry, about 13 KiB at
+# Z16381 (three words of 2-3 times the order in bits), is built when the
+# search first reaches the pair.  A search of Z16381 (n = 90) peaks at 23
+# MiB RSS with a budget of 1000 nodes and 26 MiB with 10^7, in a fresh
+# process, interpreter included (Python 3.11, x86-64 Linux).  A search long
+# enough to reach every pair would hold about 105 MiB of entries there.
 _MAX_ORDER = 1 << 14
 
 
@@ -159,50 +175,25 @@ class _Abort(Exception):
     """Internal: node budget exhausted."""
 
 
-def _translator(group: AbelianGroup):
-    """Return ``move(g)``: the ``(shift, steps)`` that translate a doubled
-    bitset by the element g.
+def _layout(group: AbelianGroup) -> tuple[list[int], int, int]:
+    """The padded element layout: ``(pos, twice, thrice)``.
 
-    A set x over the m elements is carried doubled, ``x | x << m``.  Along
-    the top axis (residue 0, index stride s) translation by t is rotation
-    of the whole index by t*s, which on the doubled word is the one right
-    shift ``>> (m - t*s)``; its low m bits are the rotated set.  In a
-    cyclic group that is the whole translation and ``steps`` is empty.
-    Each lower axis keeps a masked block rotation ``(mask, up, down)``:
-    along a factor d with stride s, the bits whose residue is below d - t
-    move up by t*s and the others down by (d-t)*s.  The blocks tile both
-    halves of the doubled word and the masks repeat over 2m bits, so the
-    rotations keep a doubled word doubled and are applied before the
-    shift.  A mask is one block pattern repeated by a repunit, so building
-    them costs O(d) big-int products per lower factor.
+    ``pos[i]`` is the bit of the element with lexicographic index i: r sits
+    at ``sum(r_i * w_i)`` with ``w_{k-1} = 1`` and ``w_i = 3 * d_{i+1} *
+    w_{i+1}``, so each axis has room for three copies of the one below and
+    bit order is element order.  Multiplying a set by ``twice`` (``thrice``)
+    copies it two (three) times along every axis, the product over i of
+    ``sum(2**(j * d_i * w_i) for j < c)``.
     """
-    m = group.order
-    top = group.strides[0]
-    axes = []
-    for d, stride in zip(group.invariant_factors[1:], group.strides[1:]):
-        block = d * stride
-        repunit = ((1 << 2 * m) - 1) // ((1 << block) - 1)
-        masks = [((1 << ((d - t) * stride)) - 1) * repunit for t in range(d)]
-        axes.append((d, stride, masks))
-
-    def move(g: GroupElement) -> tuple:
-        steps = tuple(
-            (masks[t], t * stride, (d - t) * stride)
-            for t, (d, stride, masks) in zip(g[1:], axes)
-            if t
-        )
-        return m - g[0] * top, steps
-
-    return move
-
-
-def _rotate(bits: int, steps: tuple) -> int:
-    """The doubled set ``bits`` translated along the lower axes, one masked
-    block rotation per ``(mask, up, down)`` of ``steps``."""
-    for mask, up, down in steps:
-        part = bits & mask
-        bits = (part << up) | ((bits ^ part) >> down)
-    return bits
+    pos = [0]
+    twice = thrice = weight = 1
+    for d in reversed(group.invariant_factors):
+        pos = [r * weight + p for r in range(d) for p in pos]
+        block = d * weight
+        twice *= 1 | 1 << block
+        thrice *= 1 | 1 << block | 1 << 2 * block
+        weight = 3 * block
+    return pos, twice, thrice
 
 
 def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bool:
@@ -242,31 +233,39 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     if group.order > _MAX_ORDER:
         raise LeeTileError(f"group order {group.order} too large for the search (max {_MAX_ORDER})")
     elems = list(group.elements())
-    moves = list(map(_translator(group), elems))
     m = group.order
+    pos, twice, thrice = _layout(group)
+    index = dict(zip(pos, range(m)))
     neg, double, half, third = (
         group.scaled_indices(t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
     )
-    # per representative g: (bits of {g, -g}, move(g), move(-g), bits of
-    # {2g, -2g}, bits of {g/2, -g/2}, move(g/2), move(-g/2), bits of
-    # {g/3, -g/3}), each move a (shift, steps) pair, all bits single-width
-    table: list = [None] * m
-    reps = []
-    for g in range(1, m):
+    # Translating by g is the right shift by the position of -g.  Entry of
+    # the representative at bit p, keyed by p + 1 (the bit length of its
+    # bit) and built the first time the search reaches it: (the bits above
+    # p, {g, -g} in three copies, the shifts by g and -g, {2g, -2g} and
+    # {g/2, -g/2} in two copies, the shifts by g/2 and -g/2, {g/3, -g/3} at
+    # the real positions).
+    table: list = [None] * (pos[-1] + 2)
+
+    def entry(key: int) -> tuple:
+        p = key - 1
+        g = index[p]
         ng = neg[g]
-        if g < ng:
-            hg, hng = half[g], half[ng]
-            table[g] = (
-                (1 << g) | (1 << ng), *moves[g], *moves[ng],
-                (1 << double[g]) | (1 << double[ng]),
-                (1 << hg) | (1 << hng), *moves[hg], *moves[hng],
-                (1 << third[g]) | (1 << third[ng]),
-            )
-            reps.append(g)
-    every = sum(1 << i for i in reps)
+        hg, hng = half[g], half[ng]
+        table[key] = e = (
+            -(2 << p), ((1 << p) | (1 << pos[ng])) * thrice, pos[ng], p,
+            ((1 << pos[double[g]]) | (1 << pos[double[ng]])) * twice,
+            ((1 << pos[hg]) | (1 << pos[hng])) * twice, pos[hng], pos[hg],
+            (1 << pos[third[g]]) | (1 << pos[third[ng]]),
+        )
+        return e
+
+    reps = [p for g, p in enumerate(pos) if 0 < g < neg[g]]
+    every = sum(1 << p for p in reps)
     reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and m > 1
     # Under unit multiplication the orbit of r in Z_m is every element with
-    # the same gcd with m, so only r == gcd(r, m) may be the first pair.
+    # the same gcd with m, so only r == gcd(r, m) may be the first pair
+    # (a cyclic group's positions are its element indices).
     top = sum(1 << i for i in reps if i == math.gcd(i, m)) if reduce_orbits else every
     # room[r]: the pairs a node below the top level may try when it has r
     # pairs still to place, all but the last r - 1; the top level does not
@@ -277,12 +276,12 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     # counts below raise _Abort once past it, and the counter is cut back
     budget = math.inf if opts.node_budget is None else math.ceil(opts.node_budget)
     nodes = 0
-    found: list[int] = []  # the arm set of each solution, as a bitset
-    full = (1 << m) - 1
+    found: list[int] = []  # the arm set of each solution, in three copies
 
-    # ``arms`` and ``halves`` are doubled words, ``covered`` and ``cand`` are
-    # single-width; ``blocked`` may carry bits above m, which every use
-    # clears by ANDing it with a set of pairs
+    # ``arms`` holds three copies, ``halves`` and ``covered`` two, ``cand``
+    # the real positions; ``covered`` and ``blocked`` may carry bits outside
+    # those regions, which no shift moves into them and every use of
+    # ``blocked`` clears by ANDing it with a set of pairs
     def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int):
         nonlocal nodes
         free = cand & ~blocked
@@ -295,7 +294,8 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                 nodes += passed.bit_count()
                 if nodes > budget:
                     raise _Abort
-                found.append((arms | table[low.bit_length() - 1][0]) & full)
+                key = low.bit_length()
+                found.append(arms | (table[key] or entry(key))[1])
             nodes += cand.bit_count()
             if nodes > budget:
                 raise _Abort
@@ -309,45 +309,30 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         while head:
             low = head & -head
             head ^= low
-            g = low.bit_length() - 1
-            child = below & -(low << 1)
-            (pair, shift_g, steps_g, shift_ng, steps_ng, doubles,
-             halves_g, shift_hg, steps_hg, shift_hng, steps_hng, thirds) = table[g]
+            key = low.bit_length()
+            (after, pair, shift_g, shift_ng, doubles,
+             halves_g, shift_hg, shift_hng, thirds) = table[key] or entry(key)
+            child = below & after
             # The child's blocked set, cheapest part first, built only while
-            # some pair of the child is still open: T, C'+g, C'-g, then H.
-            # A translation is the lower-axis rotation, which cyclic groups
-            # skip, then the shift; the bits it leaves above m are cleared
-            # by the AND with ``child``.
-            open_ = child & ~(blocked | thirds)
-            if open_:
-                sums_g = _rotate(arms, steps_g) if steps_g else arms
-                sums_ng = _rotate(arms, steps_ng) if steps_ng else arms
-                cov = covered | (sums_g >> shift_g | sums_ng >> shift_ng) & full | doubles
-                wide = cov | cov << m
-                b_g = (_rotate(wide, steps_g) if steps_g else wide) >> shift_g
-                open_ &= ~b_g
-            if open_:
-                b_ng = (_rotate(wide, steps_ng) if steps_ng else wide) >> shift_ng
-                open_ &= ~b_ng
-            if open_:
-                h_g = (_rotate(halves, steps_hg) if steps_hg else halves) >> shift_hg
-                open_ &= ~h_g
-            if open_:
-                h_ng = (_rotate(halves, steps_hng) if steps_hng else halves) >> shift_hng
-                open_ &= ~h_ng
-            if open_:
-                # counts only add until a child is entered, so the budget
-                # is checked here, with every pair up to g now counted
-                passed = cand & ((low << 1) - 1)
-                cand ^= passed
-                nodes += passed.bit_count()
-                if nodes > budget:
-                    raise _Abort
-                blk = blocked | thirds | b_g | b_ng | h_g | h_ng
-                place(child, remaining - 1, arms | pair | pair << m,
-                      halves | halves_g | halves_g << m, cov, blk)
-            else:  # every pair of the child is blocked: count them without a call
-                nodes += child.bit_count()
+            # some pair of the child is still open: T, C'+-g, then H.
+            blk = blocked | thirds
+            if child & ~blk:
+                cov = covered | arms >> shift_g | arms >> shift_ng | doubles
+                blk |= cov >> shift_g | cov >> shift_ng
+                if child & ~blk:
+                    blk |= halves >> shift_hg | halves >> shift_hng
+                    if child & ~blk:
+                        # counts only add until a child is entered, so the
+                        # budget is checked here, with every pair up to g
+                        # now counted
+                        passed = cand & ~after
+                        cand ^= passed
+                        nodes += passed.bit_count()
+                        if nodes > budget:
+                            raise _Abort
+                        place(child, remaining - 1, arms | pair, halves | halves_g, cov, blk)
+                        continue
+            nodes += child.bit_count()  # every pair of the child is blocked
         # the rest of the node by popcount: its pairs, and each tail child
         rest = cand.bit_count()
         while tail:
@@ -362,13 +347,13 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     try:
         # the identity (index 0) is always an arm and its own half; it
         # blocks only itself
-        place(top, n, 1 | 1 << m, 1 | 1 << m, 0, 1)
+        place(top, n, thrice, twice, 0, 1)
     except _Abort:
         nodes, exhausted = budget, False
 
     solutions = []
     for arms in found:
-        indices = tuple(i for i in range(m) if arms >> i & 1)
+        indices = tuple(i for i, p in enumerate(pos) if arms >> p & 1)
         if reduce_orbits and not _orbit_minimal(group, indices):
             continue
         solutions.append(tuple(elems[i] for i in indices))

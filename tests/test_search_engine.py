@@ -15,7 +15,7 @@ from leetile import (
     search_all,
     search_group,
 )
-from leetile.search_engine import _orbit_minimal, _rotate, _translator
+from leetile.search_engine import _layout, _orbit_minimal
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -184,7 +184,7 @@ def test_bitset_translation_matches_group_add(factors):
             assert moved == 1 << group.element_index(group.add(a, g))
 
 
-def _doubled_translation_cases():
+def _layout_cases():
     for factors in [(25,), (5, 5), (3, 3, 9)]:
         group = AbelianGroup(factors)
         elems = list(group.elements())
@@ -197,23 +197,26 @@ def _doubled_translation_cases():
         yield pytest.param(group, pairs, id=f"{group.spec_string()}-sampled")
 
 
-@pytest.mark.parametrize("group, pairs", _doubled_translation_cases())
-def test_doubled_translation_matches_group_add(group, pairs):
-    # the engine's translation of a doubled set: the lower-axis rotations,
-    # which must keep the word doubled, then the shift along the top axis
-    m = group.order
-    full = (1 << m) - 1
-    move = _translator(group)
+@pytest.mark.parametrize("group, pairs", _layout_cases())
+def test_padded_translation_matches_group_add(group, pairs):
+    # the engine's translation: the right shift by the position of -g,
+    # exact on one copy fewer than the word holds; the bits a shift leaves
+    # outside that region never reach the real positions on a second shift
+    pos, twice, thrice = _layout(group)
+    assert pos == sorted(pos)  # bit order is element order
+    real = sum(1 << p for p in pos)
+    index = group.element_index
     for a, g in pairs:
-        x = 1 << group.element_index(a)
-        shift, steps = move(g)
-        rotated = _rotate(x | x << m, steps)
-        assert rotated == (rotated & full) | (rotated & full) << m
-        assert (rotated >> shift) & full == 1 << group.element_index(group.add(a, g))
+        x = 1 << pos[index(a)]
+        shift = pos[index(group.neg(g))]
+        moved = 1 << pos[index(group.add(a, g))]
+        assert (x * thrice >> shift) & real * twice == moved * twice
+        assert (x * twice >> shift) & real == moved
+        assert (x * thrice >> shift >> shift) & real == 1 << pos[index(group.add(a, group.add(g, g)))]
 
 
 def test_group_order_limit():
-    # Z4141 (n = 45) is inside the memory bound, Z16745 (n = 91) above it
+    # Z4141 (n = 45) is inside the order limit, Z16745 (n = 91) above it
     outcome = search_group(AbelianGroup((4141,)), 45, SearchOptions(node_budget=1000))
     assert not outcome.exhausted
     assert outcome.nodes_explored == 1000
