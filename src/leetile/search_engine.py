@@ -44,28 +44,28 @@ lies in C'+g, except g itself, which is 2g - g; the cases with -g are
 symmetric.  H' omits {g, -g}, the halves of {2g, -2g}: they are arms and
 never tested.
 
-So a level takes ``free = candidates & ~blocked`` once and walks its set
-bits in pair order (element index order is pair order).  A blocked pair
-costs no work but still counts as one node: the pairs passed over before
-each legal one, and after the last, are counted by popcount of the
-candidate mask, and a budget cut falls exactly where a pair-by-pair walk
-would stop.  A child whose candidates are all blocked is counted the same
-way without being entered.
+So a level walks the set bits of ``free = candidates & ~blocked``, which
+its parent hands it, in pair order (element index order is pair order).
+A blocked pair costs no work but still counts as one node: the pairs
+passed over before each legal one, and after the last, are counted by
+popcount of the candidate mask, and a budget cut falls exactly where a
+pair-by-pair walk would stop.  Three shortcuts keep the work per free
+pair g small:
 
-Three shortcuts keep the work per free pair g small:
-
-- The child's blocked set is built cheapest part first, in three
-  stages: the two T bits, then C' translated by g and by -g, then the two
-  translations of A/2.  Building stops, and the child is counted by
-  popcount, as soon as every pair of the child is blocked.  In the reduced
-  Z113 search (n = 7) the C' translations stop 92% of the children that
-  stop, T 1% and H 6%.  The whole set is built only for a child that is
-  entered.
+- The child's blocked set is built in two stages: T and C' translated by
+  g and by -g together, then the two translations of A/2.  A child is
+  counted by popcount, not entered, once every pair of it is blocked.  In
+  the reduced Z113 search (n = 7) the first stage stops 94% of the
+  children that stop (T alone 1.4%, too few for a test of its own) and H
+  6%.
 - The children of a node are nested: the child of g is the pairs of the
   level below after g.  So once the node's own ``blocked`` covers a child,
-  it covers every later one, as each child's set contains ``blocked``.  The
-  free pairs from there on form the node's tail, which is counted without
-  any translation: its candidate pairs plus each tail child's popcount.
+  it covers every later one, as each child's set contains ``blocked``.
+  Below the top level every free pair lies in the level below, so only
+  its last open pair can be free from there on; a top-level free pair
+  past the level below has an empty child.  So the rest of a node is its
+  candidate pairs, plus, when that last open pair is free, the pairs of
+  the level below after it: no loop.
 - The translations and the node counting are written out in the loop,
   not called, and the budget is checked only before a child is entered,
   at each solution and at the end of a node.
@@ -142,8 +142,10 @@ class SearchOptions:
     node_budget: Optional[int] = None
 
     def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
+        budget = self.node_budget
+        # written so that NaN fails too
+        if budget is not None and not 0 <= budget < math.inf:
+            raise ValueError(f"node_budget must be a finite number >= 0, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,12 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     found: list[int] = []  # the arm set of each solution, in three copies
 
     # ``arms`` holds three copies, ``halves`` and ``covered`` two, ``cand``
-    # the real positions; ``covered`` and ``blocked`` may carry bits outside
-    # those regions, which no shift moves into them and every use of
-    # ``blocked`` clears by ANDing it with a set of pairs
-    def place(cand, remaining: int, arms: int, halves: int, covered: int, blocked: int):
+    # and ``free`` (``cand & ~blocked``, from the parent) the real positions;
+    # ``covered`` and ``blocked`` may carry bits outside those regions, which
+    # no shift moves into them and every use of ``blocked`` clears by ANDing
+    # it with a set of pairs
+    def place(cand, free, remaining: int, arms: int, halves: int, covered: int, blocked: int):
         nonlocal nodes
-        free = cand & ~blocked
         if remaining == 1:  # each free pair completes an arm set
             while free:
                 low = free & -free
@@ -301,11 +303,11 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                 raise _Abort
             return
         below = room[remaining - 1]
-        # The child of g holds the pairs of ``below`` after g.  From the
-        # last pair of ``below`` outside ``blocked`` on, every child is
-        # blocked already: those free pairs form the tail.
-        head = free & ((1 << (below & ~blocked).bit_length()) - 1) >> 1
-        tail = free ^ head
+        # The child of g holds the pairs of ``below`` after g, so from the
+        # last open pair of ``below`` (bit ``last - 1``) on every child is
+        # blocked already, and of those pairs only that one can be free.
+        last = (below & ~blocked).bit_length()
+        head = free & ((1 << last) - 1) >> 1
         while head:
             low = head & -head
             head ^= low
@@ -313,33 +315,31 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
             (after, pair, shift_g, shift_ng, doubles,
              halves_g, shift_hg, shift_hng, thirds) = table[key] or entry(key)
             child = below & after
-            # The child's blocked set, cheapest part first, built only while
-            # some pair of the child is still open: T, C'+-g, then H.
-            blk = blocked | thirds
-            if child & ~blk:
-                cov = covered | arms >> shift_g | arms >> shift_ng | doubles
-                blk |= cov >> shift_g | cov >> shift_ng
-                if child & ~blk:
-                    blk |= halves >> shift_hg | halves >> shift_hng
-                    if child & ~blk:
-                        # counts only add until a child is entered, so the
-                        # budget is checked here, with every pair up to g
-                        # now counted
-                        passed = cand & ~after
-                        cand ^= passed
-                        nodes += passed.bit_count()
-                        if nodes > budget:
-                            raise _Abort
-                        place(child, remaining - 1, arms | pair, halves | halves_g, cov, blk)
-                        continue
+            # The child's blocked set in two stages: T and C'+-g, then H,
+            # the second built only while some pair of the child is open.
+            cov = covered | arms >> shift_g | arms >> shift_ng | doubles
+            blk = blocked | thirds | cov >> shift_g | cov >> shift_ng
+            opened = child & ~blk
+            if opened:
+                blk |= halves >> shift_hg | halves >> shift_hng
+                opened &= ~blk
+                if opened:
+                    # counts only add until a child is entered, so the
+                    # budget is checked here, with every pair up to g
+                    # now counted
+                    passed = cand & ~after
+                    cand ^= passed
+                    nodes += passed.bit_count()
+                    if nodes > budget:
+                        raise _Abort
+                    place(child, opened, remaining - 1, arms | pair, halves | halves_g, cov, blk)
+                    continue
             nodes += child.bit_count()  # every pair of the child is blocked
-        # the rest of the node by popcount: its pairs, and each tail child
-        rest = cand.bit_count()
-        while tail:
-            low = tail & -tail
-            tail ^= low
-            rest += (below >> low.bit_length()).bit_count()
-        nodes += rest
+        # the rest of the node by popcount: its pairs, and the blocked child
+        # of the last open pair if free (no pair is free when last == 0)
+        nodes += cand.bit_count()
+        if last and free >> last - 1 & 1:
+            nodes += (below >> last).bit_count()
         if nodes > budget:
             raise _Abort
 
@@ -347,7 +347,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     try:
         # the identity (index 0) is always an arm and its own half; it
         # blocks only itself
-        place(top, n, thrice, twice, 0, 1)
+        place(top, top, n, thrice, twice, 0, 1)
     except _Abort:
         nodes, exhausted = budget, False
 

@@ -141,6 +141,13 @@ def test_options_validation():
         SearchOptions(node_budget=-1)
 
 
+@pytest.mark.parametrize("budget", [math.inf, -math.inf, math.nan])
+def test_non_finite_budget_rejected(budget):
+    # None is the only "no cap"; the value is named in the message
+    with pytest.raises(ValueError, match=repr(budget)):
+        SearchOptions(node_budget=budget)
+
+
 def test_outcome_to_dict():
     outcome = search_group(Z13, 2, NO_REDUCTION)
     data = outcome.to_dict()
