@@ -19,13 +19,11 @@ from .certify import (
 from .errors import (
     ArmCollisionError,
     FactorizationError,
-    GroupMismatchError,
     LeeTileError,
     RejectedCandidateError,
     SingularMatrixError,
 )
-from .group_ring import GroupRingElement
-from .lee_geometry import LeeSphereSpec, lee_distance, sphere_points, sphere_size
+from .lee_geometry import LeeSphereSpec, sphere_points, sphere_size
 from .profiles import (
     DeltaReport,
     IdentityReport,
@@ -39,7 +37,6 @@ from .profiles import (
 from .search_engine import (
     SearchOptions,
     SearchOutcome,
-    brute_force_search,
     search_all,
     search_group,
 )
@@ -47,7 +44,6 @@ from .tiling_core import (
     TilingCandidate,
     VerificationReport,
     check_conditions,
-    pair_multiplicity,
     radius2_group_order,
     to_group_model,
     verify_lattice,
@@ -61,8 +57,6 @@ __all__ = [
     "CertificationSummary",
     "DeltaReport",
     "FactorizationError",
-    "GroupMismatchError",
-    "GroupRingElement",
     "IdentityReport",
     "LatticeBasis",
     "LeeSphereSpec",
@@ -77,7 +71,6 @@ __all__ = [
     "TilingCandidate",
     "VerificationReport",
     "branch_for",
-    "brute_force_search",
     "certify",
     "certify_range",
     "check_conditions",
@@ -85,8 +78,6 @@ __all__ = [
     "check_identities_k4",
     "enumerate_groups",
     "factorize",
-    "lee_distance",
-    "pair_multiplicity",
     "predicted_profile_mod3",
     "profile",
     "quotient_map",

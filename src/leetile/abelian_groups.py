@@ -226,8 +226,8 @@ def factorize(m: int) -> dict[int, int]:
     in about 10**6 steps); anything larger is rejected explicitly instead
     of factoring for an unbounded time.
     """
-    if m < 1:
-        raise ValueError(f"cannot factor {m}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"cannot factor {m!r}: not an int >= 1")
     out: dict[int, int] = {}
     for p in (2, 3):
         while m % p == 0:
@@ -309,8 +309,8 @@ def enumerate_groups(order: int) -> list[AbelianGroup]:
     Deterministic order: fewer invariant factors first, then lexicographic
     on the factor tuple, so the cyclic group always comes first.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if type(order) is not int or order < 1:
+        raise ValueError(f"order must be an int >= 1, got {order!r}")
     fac = factorize(order)
     primes = sorted(fac)
     choices = [_partitions(fac[p]) for p in primes]
@@ -510,12 +510,3 @@ def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement,
         tuple(u[i][j] % d[i][i] for i in keep) for j in range(n)
     )
     return group, images
-
-
-def project(group: AbelianGroup, images: Sequence[GroupElement], vector: Sequence[int]) -> GroupElement:
-    """Apply the quotient homomorphism to an integer vector."""
-    acc = group.identity()
-    for coord, img in zip(vector, images):
-        if coord:
-            acc = group.add(acc, group.scale(img, coord))
-    return acc

@@ -423,6 +423,8 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
     the inequality certificate, it only checks q(n) > 0 as ``certify``
     does, and makes no certificate.
     """
+    if type(lo) is not int or type(hi) is not int:
+        raise TypeError(f"range bounds must be ints, got lo={lo!r}, hi={hi!r}")
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got lo={lo}, hi={hi}")
     gaps, searches = [], []

@@ -5,10 +5,6 @@ class LeeTileError(Exception):
     """Base class for errors raised by this package."""
 
 
-class GroupMismatchError(LeeTileError, ValueError):
-    """Two operands live in different groups."""
-
-
 class SingularMatrixError(LeeTileError, ValueError):
     """An integer matrix that must be nonsingular has determinant zero."""
 

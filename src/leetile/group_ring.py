@@ -6,6 +6,9 @@ convolution product.  The power map sends every group element g appearing
 in the sum to its t-fold multiple, merging coefficients on collision.
 
 Values are immutable after construction, so they can be shared freely.
+
+A test reference only, not exported from ``leetile``; it stays in ``src``
+because ``bench/tracing.py`` imports it unguarded to patch ``__mul__``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .abelian_groups import AbelianGroup, GroupElement
-from .errors import GroupMismatchError
+from .errors import LeeTileError
+
+
+class GroupMismatchError(LeeTileError, ValueError):
+    """Two operands live in different groups."""
 
 
 def _check_coefficient(c) -> None:

@@ -1,4 +1,4 @@
-"""Lee metric geometry on Z^n: distances, sphere enumeration, exact sizes.
+"""Lee metric geometry on Z^n: sphere enumeration and exact sizes.
 
 A Lee sphere of radius r in dimension n is the set of integer points whose
 coordinate absolute values sum to at most r.  All sizes are computed with
@@ -26,14 +26,6 @@ class LeeSphereSpec:
             raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
         if type(self.r) is not int or self.r < 0:
             raise ValueError(f"radius must be an int >= 0, got {self.r!r}")
-
-
-def lee_distance(x, y) -> int:
-    """Sum of coordinate-wise absolute differences between two integer
-    vectors of equal length."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(abs(a - b) for a, b in zip(x, y))
 
 
 def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int], Any]]:

@@ -156,8 +156,8 @@ def profile(candidate: TilingCandidate, k: int) -> MultiplicityProfile:
     """Histogram of coefficients of A^(k) * A over all of G, 0-class
     included.  The candidate must verify; a rejection is raised as
     RejectedCandidateError."""
-    if k not in (2, 4):
-        raise ValueError(f"power-map exponent must be 2 or 4, got {k}")
+    if type(k) is not int or k not in (2, 4):
+        raise ValueError(f"power-map exponent must be the int 2 or 4, got {k!r}")
     report = check_conditions(candidate)
     if not report.accepted:
         raise RejectedCandidateError(report)
@@ -237,8 +237,8 @@ def predicted_profile_mod3(n: int) -> PredictedProfile:
     n = 0 mod 3 only the sums over coefficient residue classes mod 3 are
     forced.  Divisibility of the closed forms is asserted, never floored.
     """
-    if n < 2:
-        raise ValueError(f"predicted profiles need n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"predicted profiles need an int n >= 2, got {n!r}")
     r = n % 3
     if r == 1:
         x0 = _exact_div(2 * n * (n - 1), 3, "class-0 size")

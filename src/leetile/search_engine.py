@@ -111,7 +111,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .abelian_groups import AbelianGroup, GroupElement, enumerate_groups
@@ -212,6 +211,11 @@ def _orbit_minimal(group: AbelianGroup, solution_indices: tuple[int, ...]) -> bo
     return True
 
 
+def _check_dimension(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension n must be an int >= 1, got {n!r}")
+
+
 def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] = None) -> SearchOutcome:
     """Every arm set over ``group`` passing the radius-2 verifier, up to
     unit-multiplication reduction when enabled and the group is cyclic.
@@ -223,8 +227,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     counts.
     """
     opts = options or SearchOptions()
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    _check_dimension(n)
     expected = radius2_group_order(n)
     if group.order != expected:
         raise ValueError(f"group order {group.order} != {expected} = 2n^2+2n+1 for n={n}")
@@ -377,28 +380,6 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
 def search_all(n: int, options: Optional[SearchOptions] = None) -> list[SearchOutcome]:
     """Run the search over every isomorphism class of abelian groups of
     order 2n^2 + 2n + 1, one outcome per class in canonical group order."""
+    _check_dimension(n)
     order = radius2_group_order(n)
     return [search_group(g, n, options) for g in enumerate_groups(order)]
-
-
-def brute_force_search(group: AbelianGroup, n: int) -> tuple[tuple[GroupElement, ...], ...]:
-    """Pruning-free reference search: test every n-subset of inverse pairs
-    through the verifier.  Only feasible for tiny n; used to validate the
-    pruned engine."""
-    expected = radius2_group_order(n)
-    if group.order != expected:
-        raise ValueError(f"group order {group.order} != {expected} = 2n^2+2n+1 for n={n}")
-    elems = sorted(group.elements())
-    identity = group.identity()
-    reps = [g for g in elems if g != identity and g < group.neg(g)]
-    solutions = []
-    for combo in combinations(reps, n):
-        arms = [identity]
-        for g in combo:
-            arms.append(g)
-            arms.append(group.neg(g))
-        candidate = TilingCandidate(group, n, tuple(sorted(arms)))
-        if check_conditions(candidate).accepted:
-            solutions.append(candidate.arms)
-    solutions.sort()
-    return tuple(solutions)

@@ -145,19 +145,6 @@ def check_conditions(candidate: TilingCandidate) -> VerificationReport:
     )
 
 
-def pair_multiplicity(candidate: TilingCandidate, g: GroupElement) -> int:
-    """Number of ordered arm pairs (t1, t2) with t1 + t2 = g, counted
-    directly.  On verified candidates this is 1 when g is a doubled arm and
-    2 otherwise.  The identity is excluded: there every inverse pair
-    contributes, so the two-valued pattern does not apply."""
-    group = candidate.group
-    group.check_element(g)
-    if g == group.identity():
-        raise ValueError("pair multiplicity is not defined at the identity")
-    arm_set = set(candidate.arms)
-    return sum(1 for t in candidate.arms if group.add(g, group.neg(t)) in arm_set)
-
-
 def _volume_and_quotient(basis: LatticeBasis):
     """|det| of the basis together with ``quotient_map(basis)``.  |det| is
     the order of the quotient group; a singular basis, on which the Smith

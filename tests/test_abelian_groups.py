@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 import sympy
@@ -17,9 +18,9 @@ from leetile import (
     quotient_map,
     smith_normal_form,
 )
-from leetile.abelian_groups import project
 
 from conftest import det, kernel_columns, random_arms, scrambled
+from oracles import project
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,21 @@ def test_sum_codes_fold_to_the_index_of_the_sum(factors):
 def test_non_int_input_rejected_not_coerced(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (factorize, 12.0),
+        (factorize, True),
+        (enumerate_groups, 25.0),
+        (enumerate_groups, True),
+    ],
+    ids=["factorize-float", "factorize-bool", "enumerate-float", "enumerate-bool"],
+)
+def test_non_int_order_rejected_naming_the_value(call, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
 
 
 def test_element_enumeration_lexicographic():

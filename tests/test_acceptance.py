@@ -9,18 +9,15 @@ from time import perf_counter
 from leetile import (
     AbelianGroup,
     ArmCollisionError,
-    GroupRingElement,
     LatticeBasis,
     SearchOptions,
     TilingCandidate,
-    brute_force_search,
     certify,
     certify_range,
     check_conditions,
     check_identities_k2,
     check_identities_k4,
     enumerate_groups,
-    pair_multiplicity,
     predicted_profile_mod3,
     profile,
     search_all,
@@ -31,8 +28,10 @@ from leetile import (
     verify_lattice,
 )
 from leetile.certify import TABLE_OPEN_CASES
+from leetile.group_ring import GroupRingElement
 
 from conftest import ARMS_N1, ARMS_N2
+from oracles import brute_force_search, pair_multiplicity
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import re
 import time
 
 import pytest
@@ -272,6 +273,12 @@ def test_range_summary():
     assert summary.counts[JUSTIFICATION_TABLE] == 5
     assert sum(summary.counts.values()) == 98
     assert all(c.verdict == VERDICT_NONEXISTENT for c in summary.certificates)
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, 5), (3, 5.0), (True, 5), ("3", 5)], ids=repr)
+def test_range_rejects_non_int_bounds_naming_them(lo, hi):
+    with pytest.raises(TypeError, match=re.escape(f"lo={lo!r}, hi={hi!r}")):
+        certify_range(lo, hi)
 
 
 def test_range_validation():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from leetile import AbelianGroup, GroupMismatchError, GroupRingElement, enumerate_groups
+from leetile import AbelianGroup, enumerate_groups
+from leetile.group_ring import GroupMismatchError, GroupRingElement
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))

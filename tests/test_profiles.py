@@ -1,11 +1,12 @@
 import random
+import re
+from functools import partial
 
 import pytest
 
 from leetile import (
     AbelianGroup,
     DeltaReport,
-    GroupRingElement,
     MultiplicityProfile,
     RejectedCandidateError,
     TilingCandidate,
@@ -14,9 +15,10 @@ from leetile import (
     predicted_profile_mod3,
     profile,
 )
+from leetile.group_ring import GroupRingElement
 from leetile.profiles import IdentityCheck, _power_product
 
-from conftest import random_symmetric_arms
+from conftest import ARMS_N1, random_symmetric_arms
 
 # Frozen histograms, derived by enumerating all ordered pair sums by hand:
 # n=1 over Z5 with arms {0, 1, 4} and n=2 over Z13 with arms {0, 1, 12, 5, 8}.
@@ -68,6 +70,21 @@ def test_profile_requires_verified_candidate(z13):
 def test_profile_rejects_other_exponents(candidate_n1):
     with pytest.raises(ValueError):
         profile(candidate_n1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (partial(profile, TilingCandidate(AbelianGroup((5,)), 1, ARMS_N1)), 4.0),
+        (partial(profile, TilingCandidate(AbelianGroup((5,)), 1, ARMS_N1)), 2.0),
+        (predicted_profile_mod3, 4.0),
+        (predicted_profile_mod3, True),
+    ],
+    ids=["profile-k4-float", "profile-k2-float", "predicted-n-float", "predicted-n-bool"],
+)
+def test_non_int_input_rejected_naming_the_value(call, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
 
 
 def test_k2_identities_real_instances(candidate_n1, candidate_n2):

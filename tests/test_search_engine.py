@@ -1,13 +1,13 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
 from leetile import (
     AbelianGroup,
     SearchOptions,
-    brute_force_search,
     check_conditions,
     TilingCandidate,
     LeeTileError,
@@ -16,6 +16,8 @@ from leetile import (
     search_group,
 )
 from leetile.search_engine import _layout, _orbit_minimal
+
+from oracles import brute_force_search
 
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
@@ -64,6 +66,21 @@ def test_pruned_agrees_with_brute_force(n):
     for group in enumerate_groups(order):
         pruned = search_group(group, n, NO_REDUCTION)
         assert pruned.solutions == brute_force_search(group, n)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda n: search_group(Z13, n), 2.0),
+        (lambda n: search_group(Z5, n), True),
+        (search_all, 2.0),
+        (search_all, True),
+    ],
+    ids=["group-float", "group-bool", "all-float", "all-bool"],
+)
+def test_non_int_dimension_rejected_naming_the_value(call, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
 
 
 def test_empty_for_n3_through_n5():

@@ -7,20 +7,19 @@ import pytest
 from leetile import (
     AbelianGroup,
     ArmCollisionError,
-    GroupRingElement,
     LatticeBasis,
     SearchOptions,
     TilingCandidate,
     check_conditions,
     enumerate_groups,
-    pair_multiplicity,
     search_all,
     sphere_size,
     to_group_model,
     verify_lattice,
 )
-from leetile.abelian_groups import project, quotient_map
+from leetile.abelian_groups import quotient_map
 from leetile.cli import main
+from leetile.group_ring import GroupRingElement
 from leetile.lee_geometry import sphere_points
 from leetile.tiling_core import (
     FAILED_COLLISION,
@@ -34,6 +33,7 @@ from leetile.tiling_core import (
 )
 
 from conftest import ARMS_N2, det, kernel_columns, random_arms, random_symmetric_arms, scrambled
+from oracles import pair_multiplicity, project
 
 
 def count_pairs(group, arms, target):
