@@ -7,7 +7,11 @@ reduced into [0, d_i).  The group object carries the arithmetic, the
 lexicographic element index (``strides``) and the carry-free integer codes
 (``sum_codes``) that the search, the verifier and the profiles count on;
 ``GroupRingElement`` is their reference in the tests.  Integer inputs must
-be ``int`` exactly: a float or a bool is rejected, never coerced.
+be ``int`` exactly: a float or a bool is rejected, never coerced.  The
+element operations ``add`` and ``neg`` run once per sphere point in the
+verifier, so they check nothing: they take elements that ``check_element``
+(or the group's own arithmetic) has produced.  ``scale`` and
+``scaled_indices`` check their multiplier.
 """
 
 from __future__ import annotations
@@ -86,13 +90,17 @@ class AbelianGroup:
         return g
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """g + h, for elements already checked by ``check_element``."""
         return tuple(map(operator.mod, map(operator.add, g, h), self.invariant_factors))
 
     def neg(self, g: GroupElement) -> GroupElement:
+        """-g, for an element already checked by ``check_element``."""
         return tuple(-a % d for a, d in zip(g, self.invariant_factors))
 
     def scale(self, g: GroupElement, t: int) -> GroupElement:
-        """t-fold sum of g; t may be negative or zero."""
+        """t-fold sum of a checked element g; t is an int and may be
+        negative or zero."""
+        _check_multiplier(t)
         return tuple((a * t) % d for a, d in zip(g, self.invariant_factors))
 
     def elements(self) -> Iterator[GroupElement]:
@@ -110,6 +118,7 @@ class AbelianGroup:
 
     def scaled_indices(self, t: int) -> list[int]:
         """Element index of t*g for every g, in element-index order."""
+        _check_multiplier(t)
         indices = [0]
         for d, s in zip(self.invariant_factors, self.strides):
             axis = [t * r % d * s for r in range(d)]
@@ -173,6 +182,11 @@ class AbelianGroup:
             except ValueError:
                 raise ValueError(f"bad group spec {text!r}") from None
         return cls.from_cyclic_orders(orders)
+
+
+def _check_multiplier(t) -> None:
+    if type(t) is not int:
+        raise ValueError(f"multiplier {t!r} is not an int")
 
 
 def _is_probable_prime(m: int) -> bool:

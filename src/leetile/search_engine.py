@@ -49,15 +49,26 @@ its parent hands it, in pair order (element index order is pair order).
 A blocked pair costs no work but still counts as one node: the pairs
 passed over before each legal one, and after the last, are counted by
 popcount of the candidate mask, and a budget cut falls exactly where a
-pair-by-pair walk would stop.  Three shortcuts keep the work per free
+pair-by-pair walk would stop.  Four shortcuts keep the work per free
 pair g small:
 
 - The child's blocked set is built in two stages: T and C' translated by
   g and by -g together, then the two translations of A/2.  A child is
-  counted by popcount, not entered, once every pair of it is blocked.  In
-  the reduced Z113 search (n = 7) the first stage stops 94% of the
-  children that stop (T alone 1.4%, too few for a test of its own) and H
-  6%.
+  counted by popcount, not entered, once every pair of it is blocked.
+- One level above the leaves, at a node with three pairs left to place
+  (its children are the last inner level), a pretest comes first: the
+  node's ``blocked`` with C translated by g and by -g.  That union lies
+  inside the child's set, as C is inside C' and ``covered`` is carried in
+  two copies, so a child it covers is counted as blocked before C' is
+  built.  In the reduced Z113 search (n = 7) it stops 3189 of the 3643
+  children tested at that level (88%; the whole first stage stops 3490).
+  One level up it would stop only 1504 of 5397 (28%), which costs more
+  than it saves, so no other level runs it.  Of all the children that
+  stop in that search, the pretest stops 54%, the first stage 39% (T
+  alone 1.4%, too few for a test of its own) and H 6%.  Some other
+  pretests are just as sound, because B' contains C' (the identity is an
+  arm): the arms translated by g and -g in place of C, or the union with
+  {2g, -2g} added, still lie inside the child's set.
 - The children of a node are nested: the child of g is the pairs of the
   level below after g.  So once the node's own ``blocked`` covers a child,
   it covers every later one, as each child's set contains ``blocked``.
@@ -68,7 +79,10 @@ pair g small:
   the level below after it: no loop.
 - The translations and the node counting are written out in the loop,
   not called, and the budget is checked only before a child is entered,
-  at each solution and at the end of a node.
+  at each solution and at the end of a node.  The and-not of a pair set x
+  and a wider blocked word y is written ``x ^ (x & y)``, which works at
+  the width of x, while ``x & ~y`` first builds the complement of y; at
+  Z113 widths the first takes about 30% less time.
 
 Node counts do not depend on where these cuts fall: a blocked child is
 counted by popcount whichever part of the set blocked it, and entering a
@@ -118,12 +132,13 @@ from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
 _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
-# Memory follows the work done: a pair's table entry, about 13 KiB at
-# Z16381 (three words of 2-3 times the order in bits), is built when the
-# search first reaches the pair.  A search of Z16381 (n = 90) peaks at 23
-# MiB RSS with a budget of 1000 nodes and 26 MiB with 10^7, in a fresh
-# process, interpreter included (Python 3.11, x86-64 Linux).  A search long
-# enough to reach every pair would hold about 105 MiB of entries there.
+# Memory follows the work done: a pair's table entry, about 16 KiB at
+# Z16381 (three words of 2-3 times the order in bits and the pairs after
+# it, half the order), is built when the search first reaches the pair.  A
+# search of Z16381 (n = 90) peaks at 23 MiB RSS with a budget of 1000 nodes
+# and 26 MiB with 10^7, in a fresh process, interpreter included (Python
+# 3.11, x86-64 Linux).  A search long enough to reach every pair would hold
+# about 131 MiB of entries there (sys.getsizeof of each entry's ints).
 _MAX_ORDER = 1 << 14
 
 
@@ -244,12 +259,15 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     neg, double, half, third = (
         group.scaled_indices(t) for t in (-1, 2, (m + 1) // 2, pow(3, -1, group.exponent))
     )
+    reps = [p for g, p in enumerate(pos) if 0 < g < neg[g]]
+    every = sum(1 << p for p in reps)
     # Translating by g is the right shift by the position of -g.  Entry of
     # the representative at bit p, keyed by p + 1 (the bit length of its
-    # bit) and built the first time the search reaches it: (the bits above
+    # bit) and built the first time the search reaches it: (the pairs after
     # p, {g, -g} in three copies, the shifts by g and -g, {2g, -2g} and
     # {g/2, -g/2} in two copies, the shifts by g/2 and -g/2, {g/3, -g/3} at
-    # the real positions).
+    # the real positions).  The pairs after p are a nonnegative mask: an AND
+    # with a negative int costs a two's-complement copy of it.
     table: list = [None] * (pos[-1] + 2)
 
     def entry(key: int) -> tuple:
@@ -258,15 +276,13 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         ng = neg[g]
         hg, hng = half[g], half[ng]
         table[key] = e = (
-            -(2 << p), ((1 << p) | (1 << pos[ng])) * thrice, pos[ng], p,
+            every & -(2 << p), ((1 << p) | (1 << pos[ng])) * thrice, pos[ng], p,
             ((1 << pos[double[g]]) | (1 << pos[double[ng]])) * twice,
             ((1 << pos[hg]) | (1 << pos[hng])) * twice, pos[hng], pos[hg],
             (1 << pos[third[g]]) | (1 << pos[third[ng]]),
         )
         return e
 
-    reps = [p for g, p in enumerate(pos) if 0 < g < neg[g]]
-    every = sum(1 << p for p in reps)
     reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and m > 1
     # Under unit multiplication the orbit of r in Z_m is every element with
     # the same gcd with m, so only r == gcd(r, m) may be the first pair
@@ -309,8 +325,9 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         # The child of g holds the pairs of ``below`` after g, so from the
         # last open pair of ``below`` (bit ``last - 1``) on every child is
         # blocked already, and of those pairs only that one can be free.
-        last = (below & ~blocked).bit_length()
+        last = (below ^ (below & blocked)).bit_length()
         head = free & ((1 << last) - 1) >> 1
+        pretest = remaining == 3  # the only level where it stops enough children
         while head:
             low = head & -head
             head ^= low
@@ -318,21 +335,24 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
             (after, pair, shift_g, shift_ng, doubles,
              halves_g, shift_hg, shift_hng, thirds) = table[key] or entry(key)
             child = below & after
+            if pretest and child & (blocked | covered >> shift_g | covered >> shift_ng) == child:
+                nodes += child.bit_count()  # the pretest's set blocks every pair
+                continue
             # The child's blocked set in two stages: T and C'+-g, then H,
             # the second built only while some pair of the child is open.
             cov = covered | arms >> shift_g | arms >> shift_ng | doubles
             blk = blocked | thirds | cov >> shift_g | cov >> shift_ng
-            opened = child & ~blk
+            opened = child ^ (child & blk)
             if opened:
                 blk |= halves >> shift_hg | halves >> shift_hng
-                opened &= ~blk
+                opened ^= opened & blk
                 if opened:
                     # counts only add until a child is entered, so the
                     # budget is checked here, with every pair up to g
                     # now counted
-                    passed = cand & ~after
-                    cand ^= passed
-                    nodes += passed.bit_count()
+                    rest = cand & after
+                    nodes += (cand ^ rest).bit_count()
+                    cand = rest
                     if nodes > budget:
                         raise _Abort
                     place(child, opened, remaining - 1, arms | pair, halves | halves_g, cov, blk)

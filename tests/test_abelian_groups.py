@@ -129,6 +129,18 @@ def test_non_int_order_rejected_naming_the_value(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda t: AbelianGroup((5,)).scale((1,), t), lambda t: AbelianGroup((5, 5)).scaled_indices(t)],
+    ids=["scale", "scaled_indices"],
+)
+def test_non_int_multiplier_rejected_naming_the_value(call, value):
+    # a float multiplier used to give float residues that contains rejects
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
+
+
 def test_element_enumeration_lexicographic():
     g = AbelianGroup((2, 4))
     elems = list(g.elements())

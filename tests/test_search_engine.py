@@ -184,11 +184,13 @@ UNREDUCED_NODES = [
     (1, (5,), 2), (2, (13,), 21), (3, (25,), 213), (3, (5, 5), 267),
     (4, (41,), 1958), (5, (61,), 17440), (6, (85,), 169699),
 ]
+# the full searches bench/baseline.json counts beyond these
+LARGE_NODES = [(True, 8, (145,), 2272779), (False, 7, (113,), 1637233)]
 
 
 @pytest.mark.parametrize(
     "reduce, n, factors, nodes",
-    [(True, *case) for case in REDUCED_NODES] + [(False, *case) for case in UNREDUCED_NODES],
+    [(True, *case) for case in REDUCED_NODES] + [(False, *case) for case in UNREDUCED_NODES] + LARGE_NODES,
 )
 def test_node_counts_pinned(reduce, n, factors, nodes):
     options = SearchOptions(use_automorphism_reduction=reduce, node_budget=nodes)
@@ -396,11 +398,16 @@ def test_matches_reference_under_sampled_budgets():
 # Budgets that cut the engine where it counts a child without a call, the
 # pairs before an entered child, and the popcount tail of a node.  Every
 # budget of the reduced Z41 search, fixed-seed samples of the
-# unreduced Z41 one, and the reduced Z113 (n = 7) search cut at its last
-# node, past it, and at sampled depths.
+# unreduced Z41 one, the Z61 (n = 5) searches, whose nodes with three
+# pairs left run the C+-g pretest, and the reduced Z113 (n = 7) search
+# cut at its last node, past it, and at sampled depths.
 CUT_CASES = [
     pytest.param(4, (41,), True, range(318), id="n4-Z41-every"),
     pytest.param(4, (41,), False, random.Random(41).sample(range(1960), 200), id="n4-Z41-noreduce"),
+    pytest.param(
+        5, (61,), True, [0, 1, 2153, 2154] + random.Random(61).sample(range(2, 2153), 200), id="n5-Z61",
+    ),
+    pytest.param(5, (61,), False, random.Random(17440).sample(range(17441), 50), id="n5-Z61-noreduce"),
     pytest.param(
         7, (113,), True, [0, 1, 145186, 145187] + random.Random(113).sample(range(2, 145186), 12),
         id="n7-Z113",
