@@ -2,12 +2,13 @@
 
 Every n >= 3 falls into exactly one of ten branches keyed by (n mod 3,
 n mod 5).  Each branch carries a quadratic polynomial q(n) that any tiling
-would force to satisfy q(n) <= 0, together with a threshold: for n above
-the threshold the certificate simply evaluates q(n) > 0 and records the
-contradiction, while the handful of dimensions at or below the threshold
-are settled by an embedded verdict table for 3 <= n <= 100 (or, on
-request, by re-running the exhaustive search, which settles n = 3 and 4
-and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
+would force to satisfy q(n) <= 0, together with a threshold.  Building a
+branch proves, in exact integers, that q(n) > 0 for every n above its
+threshold, so there the certificate needs no check per dimension: it
+records the contradiction q(n) > 0.  The handful of dimensions at or below
+a threshold are settled by an embedded verdict table for 3 <= n <= 100
+(or, on request, by re-running the exhaustive search, which settles n = 3
+and 4 and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
 existence certificates carrying the explicit constructions.
 
 A certificate stores n, its justification and any search outcomes; every
@@ -15,12 +16,10 @@ other field is derived from n.  ``recheck`` derives it again from n alone
 (re-running a search) and trusts no stored field.  The written polynomial
 and value let a reader re-verify every inequality with a calculator.
 
-A range [lo, hi] is certified in one pass over n.  Above the largest
-branch threshold the certificate is a function of n alone, so the pass
-only checks q(n) > 0 there, and runs ``certify`` at or below it.  The
-summary stores what n cannot give, the gaps and the search certificates;
-its counts, its certificates and its ``--json`` text are derived from n
-when asked for, so writing a range holds no object per dimension.
+Above the largest branch threshold, n = 23, the certificate is the
+inequality one, a function of n alone.  So a range summary stores only the
+certificates at or below n = 23, and its gaps, counts and ``--json`` text
+do no work per dimension above it.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -64,9 +64,12 @@ class Branch:
 
     ``poly`` holds (a, b, c) for q(n) = a*n^2 + b*n + c; existence of a
     tiling forces q(n) <= 0, so q(n) > 0 certifies nonexistence.
-    ``threshold`` is the largest n for which q alone yields no
-    contradiction and the verdict table (or a search) takes over.
-    ``residues`` lists the (n mod 3, n mod 5) pairs the branch covers.
+    ``threshold`` is the largest n at which the verdict table (or a
+    search) takes over from q.  It need not be where q turns positive:
+    two thresholds are conservative, as q(13) = 699 on mod3-1-mod5-3 and
+    q(6) = 36 on mod3-1-mod5-2 are already positive.  Building a branch
+    proves q(n) > 0 for every n above it.  ``residues`` lists the
+    (n mod 3, n mod 5) pairs the branch covers.
     """
 
     branch_id: str
@@ -76,6 +79,18 @@ class Branch:
     threshold: int
     residues: tuple[tuple[int, int], ...]
     note: Optional[str] = None
+
+    def __post_init__(self):
+        """Prove q(n) > 0 for every n > threshold, or raise ValueError.
+
+        With t = threshold + 1: q(n + 1) - q(n) = 2an + a + b grows with n
+        when a > 0, so if it is positive at t it is positive for all
+        n >= t, and q(t) > 0 then carries to every n >= t.
+        """
+        a, b, _ = self.poly
+        t = self.threshold + 1
+        if not (a > 0 and self.evaluate(t) > 0 and 2 * a * t + a + b > 0):
+            raise ValueError(f"branch {self.branch_id}: q(n) > 0 does not follow for every n > {self.threshold}")
 
     def evaluate(self, n: int) -> int:
         a, b, c = self.poly
@@ -309,14 +324,7 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
         if not check_conditions(TilingCandidate(AbelianGroup(factors), n, arms)).accepted:
             raise LeeTileError(f"stored witness for n={n} failed verification")
         return NonexistenceCertificate(n, JUSTIFICATION_WITNESS)
-    branch = branch_for(n)
-    if n > branch.threshold:
-        value = branch.evaluate(n)
-        if value <= 0:
-            raise LeeTileError(
-                f"branch {branch.branch_id} claims threshold {branch.threshold} but "
-                f"q({n}) = {value} yields no contradiction"
-            )
+    if n > branch_for(n).threshold:  # so q(n) > 0, as the branch proved when built
         return NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
     if search_fallback:
         if n >= _BUDGET_REQUIRED_FROM:
@@ -334,39 +342,39 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
 
 @dataclass(frozen=True)
 class CertificationSummary:
-    """The certificates for [lo, hi], stored as what n cannot give: the
-    gaps, every n in the range without a certificate, and the search
-    certificates, the only ones that carry data beyond n.  Every other n
-    in the range has the certificate ``certify(n)``, made only when a
-    caller asks for it."""
+    """The certificates for [lo, hi].  Only those at or below the top
+    branch threshold are stored, in ``low`` in increasing n: every n above
+    it has the inequality certificate, a function of n alone, so the
+    summary does no work per dimension there unless a caller asks for
+    ``certificates``."""
 
     lo: int
     hi: int
-    gaps: tuple[int, ...]
-    searches: tuple[NonexistenceCertificate, ...]
+    low: tuple[NonexistenceCertificate, ...]
 
-    def _certificates(self, lo: int, hi: int):
-        """Yield the certificate of each n in [lo, hi] that is not a gap."""
-        searches = {c.n: c for c in self.searches}
-        gaps = set(self.gaps)
-        for n in range(lo, hi + 1):
-            if n not in gaps:
-                yield searches.get(n) or certify(n)
+    @property
+    def _above(self) -> range:
+        """The n of the range above the top branch threshold."""
+        return range(max(self.lo, _TOP_THRESHOLD + 1), self.hi + 1)
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The n of the range without a certificate, all at or below the
+        top branch threshold."""
+        made = {c.n for c in self.low}
+        return tuple(n for n in range(self.lo, min(self.hi, _TOP_THRESHOLD) + 1) if n not in made)
 
     @property
     def certificates(self) -> tuple[NonexistenceCertificate, ...]:
         """Every certificate, in increasing n, made anew on each call."""
-        return tuple(self._certificates(self.lo, self.hi))
+        return self.low + tuple(NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY) for n in self._above)
 
     @property
     def counts(self) -> dict[str, int]:
-        """Certificates per justification, keyed in order of first use.
-        Above the top branch threshold every certificate is an inequality
-        one, so only the n at or below it are made."""
-        counts = Counter(c.justification for c in self._certificates(self.lo, min(self.hi, _TOP_THRESHOLD)))
-        above = self.hi - max(self.lo, _TOP_THRESHOLD + 1) + 1 - sum(n > _TOP_THRESHOLD for n in self.gaps)
-        if above > 0:
-            counts[JUSTIFICATION_INEQUALITY] += above
+        """Certificates per justification, keyed in order of first use."""
+        counts = Counter(c.justification for c in self.low)
+        if above := self._above:
+            counts[JUSTIFICATION_INEQUALITY] += above.stop - above.start
         return dict(counts)
 
     @property
@@ -388,8 +396,11 @@ class CertificationSummary:
         and the head once: raises ValueError unless the certificates are for
         distinct n in [lo, hi] in increasing order and the other keys are
         exactly ``_head()``, down to JSON types, so ``gaps`` must be the exact
-        complement of the certificates.  Every n in [lo, hi] needs a
-        certificate or a gap entry, so the work grows with the input, not hi.
+        complement of the certificates.  A gap above its branch threshold is
+        refused, since ``certify`` settles every such n; a gap at n = 3 or 4
+        only a search could refute, and no reader runs one.  Every n in
+        [lo, hi] needs a certificate or a gap entry, so the work grows with
+        the input, not hi.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
             raise ValueError(f"a summary needs a list of certificates, got {reprlib.repr(data)}")
@@ -398,16 +409,18 @@ class CertificationSummary:
             raise ValueError(f"a summary needs ints 3 <= lo <= hi, got {reprlib.repr((lo, hi))}")
         if not isinstance(data.get("gaps"), list) or len(data["certificates"]) + len(data["gaps"]) != hi - lo + 1:
             raise ValueError(f"summary for [{lo}, {hi}] needs one certificate or gap per dimension")
-        ns, searches = [lo - 1], []
+        ns, low = [lo - 1], []
         for cert in map(NonexistenceCertificate.from_dict, data["certificates"]):
             ns.append(cert.n)
-            if cert.justification == JUSTIFICATION_SEARCH:
-                searches.append(cert)
+            if cert.n <= _TOP_THRESHOLD:
+                low.append(cert)
         ns.append(hi + 1)
         if any(a >= b for a, b in zip(ns, ns[1:])):
             raise ValueError(f"summary for [{lo}, {hi}] has certificates out of order or outside the range")
-        gaps = tuple(n for a, b in zip(ns, ns[1:]) for n in range(a + 1, b))
-        summary = cls(lo, hi, gaps, tuple(searches))
+        settled = next((n for a, b in zip(ns, ns[1:]) for n in range(a + 1, b) if n > branch_for(n).threshold), None)
+        if settled is not None:
+            raise ValueError(f"summary for [{lo}, {hi}] has a gap at n={settled}, which certify settles")
+        summary = cls(lo, hi, tuple(low))
         head = {k: v for k, v in data.items() if k != "certificates"}
         if not _same_json(summary._head(), head):
             raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
@@ -418,29 +431,20 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
     """Certificates for every n in [lo, hi], lo >= 3.  Any dimension that
     cannot be certified is recorded as a gap instead of being skipped.
 
-    One pass over n: at or below the top branch threshold it runs
-    ``certify(n, search_fallback=...)``; above it, where ``certify(n)`` is
-    the inequality certificate, it only checks q(n) > 0 as ``certify``
-    does, and makes no certificate.
+    Runs ``certify(n, search_fallback=...)`` at or below the top branch
+    threshold only, so the cost does not grow with hi.  Every n above it
+    has the inequality certificate, as each branch proved when built, so
+    gaps come only from a search fallback that cannot finish.
     """
     if type(lo) is not int or type(hi) is not int:
         raise TypeError(f"range bounds must be ints, got lo={lo!r}, hi={hi!r}")
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got lo={lo}, hi={hi}")
-    gaps, searches = [], []
+    low = []
     for n in range(lo, min(hi, _TOP_THRESHOLD) + 1):
-        try:
-            cert = certify(n, search_fallback=search_fallback)
-        except LeeTileError:
-            gaps.append(n)
-            continue
-        if cert.justification == JUSTIFICATION_SEARCH:
-            searches.append(cert)
-    start = max(lo, _TOP_THRESHOLD + 1)
-    for r in range(15):  # one residue class of n mod 15, so one branch, at a time
-        a, b, c = _BRANCH_BY_RESIDUES[r % 3, r % 5].poly
-        gaps += [n for n in range(start + (r - start) % 15, hi + 1, 15) if a * n * n + b * n + c <= 0]
-    return CertificationSummary(lo, hi, tuple(sorted(gaps)), tuple(searches))
+        with suppress(LeeTileError):  # n is a gap
+            low.append(certify(n, search_fallback=search_fallback))
+    return CertificationSummary(lo, hi, tuple(low))
 
 
 # Two inequality certificates with the same n % 15, so of one branch and
@@ -472,21 +476,16 @@ def _certificate_json(summary: CertificationSummary, pad: str = ""):
     """Yield ``json.dumps(c.to_dict(), indent=2)`` of each certificate of
     ``summary``, every line after the first indented by ``pad``.
 
-    The n at or below the top branch threshold, where every search
-    certificate lies, get their certificates made and encoded whole.  Above
-    it the writer makes no certificate per n: it fills the template of
-    n % 15 with n and q(n), and makes one certificate per template only, to
-    build it from.
+    The stored certificates, at or below the top branch threshold, are
+    encoded whole.  Above it the writer makes no certificate per n: it
+    fills the template of n % 15 with n and q(n), and makes one
+    certificate per template only, to build it from.
     """
     indent = "\n" + pad
-    top = min(summary.hi, _TOP_THRESHOLD)
-    for cert in summary._certificates(summary.lo, top):
+    for cert in summary.low:
         yield json.dumps(cert.to_dict(), indent=2).replace("\n", indent)
-    gaps = set(summary.gaps)
     templates = [None] * 15
-    for n in range(max(summary.lo, top + 1), summary.hi + 1):
-        if n in gaps:
-            continue
+    for n in summary._above:
         template = templates[n % 15]
         if template is None:
             template = templates[n % 15] = _template(n, pad)

@@ -189,8 +189,6 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     collision stops early never pays for all m; over any other group it is
     a residue tuple, kept in a set.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     n = basis.n
     expected = sphere_size(n, radius)
     volume, group, images = _volume_and_quotient(basis)

@@ -110,7 +110,7 @@ def certify_each(lo, hi, search_fallback):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.tuples(st.integers(3, 400), st.integers(3, 400)).map(sorted), st.booleans())
 def test_random_ranges_agree_with_certify_per_n(bounds, search_fallback):
-    """A summary stores only its gaps and search certificates; what it
+    """A summary stores only its certificates at or below n = 23; what it
     writes, reads back and hands out must still be what ``certify`` gives
     for each n."""
     summary = certify_range(*bounds, search_fallback=search_fallback)

@@ -20,6 +20,7 @@ from leetile import (
 )
 from leetile.certify import (
     _BRANCHES,
+    Branch,
     CertificationSummary,
     JUSTIFICATION_INEQUALITY,
     JUSTIFICATION_SEARCH,
@@ -113,6 +114,20 @@ def test_branch_totality():
     for n in range(3, 3000):
         branch = branch_for(n)
         assert branch.threshold == EXPECTED_THRESHOLDS[branch.branch_id]
+
+
+@pytest.mark.parametrize(
+    "poly, threshold",
+    [
+        ((1, -10, 10), 0),  # q(1) = 1 but q(2) = -6: the first difference is -7 at n = 1
+        ((-1, 100, 0), 0),  # q and its first difference are positive at n = 1, but a < 0
+        ((4, -64, 12), 14),  # mod3-1-mod5-1's q at one below its threshold: q(15) = -48
+    ],
+    ids=["difference-negative", "leading-negative", "value-negative"],
+)
+def test_branch_refuses_a_threshold_its_inequality_does_not_hold_above(poly, threshold):
+    with pytest.raises(ValueError, match="bad-branch"):
+        Branch("bad-branch", "test", None, poly, threshold, ())
 
 
 def test_residue_pairs_map_to_one_branch_each():
@@ -258,7 +273,8 @@ def test_recheck_raises_a_fault_in_the_code_it_reruns(monkeypatch):
 
 
 def test_inequality_consistency_over_range():
-    for cert in certify_range(3, 500).certificates:
+    # a per-n sweep, apart from the proof that each Branch makes when built
+    for cert in certify_range(3, 10**4).certificates:
         if cert.justification == JUSTIFICATION_INEQUALITY:
             a, b, c = cert.poly
             assert a * cert.n * cert.n + b * cert.n + c == cert.evaluated_value
@@ -273,6 +289,15 @@ def test_range_summary():
     assert summary.counts[JUSTIFICATION_TABLE] == 5
     assert sum(summary.counts.values()) == 98
     assert all(c.verdict == VERDICT_NONEXISTENT for c in summary.certificates)
+
+
+def test_range_does_no_work_per_dimension_above_the_thresholds():
+    start = time.perf_counter()
+    summary = certify_range(3, 10**12)
+    counts, gaps = summary.counts, summary.gaps
+    assert time.perf_counter() - start < 1
+    assert counts == {JUSTIFICATION_TABLE: 5, JUSTIFICATION_INEQUALITY: 10**12 - 7}
+    assert gaps == () and summary.complete
 
 
 @pytest.mark.parametrize("lo, hi", [(3.0, 5), (3, 5.0), (True, 5), ("3", 5)], ids=repr)
@@ -365,6 +390,19 @@ def test_summary_from_dict_rejects_edited_fields(edit):
     assert CertificationSummary.from_dict(data).to_dict() == data
     with pytest.raises(ValueError):
         CertificationSummary.from_dict(dict(data, **edit))
+
+
+@pytest.mark.parametrize("decrement", [True, False], ids=["counts-decremented", "counts-kept"])
+@pytest.mark.parametrize("n", [5, 25])
+def test_summary_from_dict_rejects_a_gap_certify_settles(n, decrement):
+    # n = 5 and 25 lie above their branch thresholds, so certify settles them
+    data = json.loads(json.dumps(certify_range(3, 30).to_dict()))
+    data["certificates"] = [c for c in data["certificates"] if c["n"] != n]
+    data["gaps"], data["complete"] = [n], False
+    if decrement:
+        data["counts"][JUSTIFICATION_INEQUALITY] -= 1
+    with pytest.raises(ValueError):
+        CertificationSummary.from_dict(data)
 
 
 def test_summary_from_dict_rejects_float_counts():

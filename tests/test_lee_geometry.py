@@ -138,8 +138,12 @@ PLANE = LatticeBasis.from_columns([(13, 0), (-5, 1)])
         lambda: sphere_points(True, 1),
         lambda: verify_lattice(PLANE, True),
         lambda: verify_lattice(PLANE, 2.0),
+        lambda: verify_lattice(PLANE, -1),
     ],
-    ids=["float-n", "bool-n", "float-r", "bool-r", "size-float-r", "points-bool-n", "verify-bool-r", "verify-float-r"],
+    ids=[
+        "float-n", "bool-n", "float-r", "bool-r", "size-float-r", "points-bool-n",
+        "verify-bool-r", "verify-float-r", "verify-negative-r",
+    ],
 )
 def test_non_int_rejected_not_coerced(make):
     with pytest.raises(ValueError):

@@ -175,23 +175,32 @@ def test_outcome_to_dict():
     assert len(data["solutions"]) == 3
 
 
-# Node counts of the engine, per (n, group): one node per attempted pair.
-REDUCED_NODES = [
-    (1, (5,), 1), (2, (13,), 6), (3, (25,), 69), (3, (5, 5), 267),
-    (4, (41,), 316), (5, (61,), 2154), (6, (85,), 33083),
+# Node counts of the engine, per (reduce, n, group): one node per attempted
+# pair.  Each case names its id, so adding one renames no other test; the ids
+# are those the cases were first collected under, where factorsK is the K-th
+# case in this list.
+NODE_COUNTS = [
+    pytest.param(True, 1, (5,), 1, id="True-1-factors0-1"),
+    pytest.param(True, 2, (13,), 6, id="True-2-factors1-6"),
+    pytest.param(True, 3, (25,), 69, id="True-3-factors2-69"),
+    pytest.param(True, 3, (5, 5), 267, id="True-3-factors3-267"),
+    pytest.param(True, 4, (41,), 316, id="True-4-factors4-316"),
+    pytest.param(True, 5, (61,), 2154, id="True-5-factors5-2154"),
+    pytest.param(True, 6, (85,), 33083, id="True-6-factors6-33083"),
+    pytest.param(False, 1, (5,), 2, id="False-1-factors7-2"),
+    pytest.param(False, 2, (13,), 21, id="False-2-factors8-21"),
+    pytest.param(False, 3, (25,), 213, id="False-3-factors9-213"),
+    pytest.param(False, 3, (5, 5), 267, id="False-3-factors10-267"),
+    pytest.param(False, 4, (41,), 1958, id="False-4-factors11-1958"),
+    pytest.param(False, 5, (61,), 17440, id="False-5-factors12-17440"),
+    pytest.param(False, 6, (85,), 169699, id="False-6-factors13-169699"),
+    # the full searches bench/baseline.json counts beyond these
+    pytest.param(True, 8, (145,), 2272779, id="True-8-factors14-2272779"),
+    pytest.param(False, 7, (113,), 1637233, id="False-7-factors15-1637233"),
 ]
-UNREDUCED_NODES = [
-    (1, (5,), 2), (2, (13,), 21), (3, (25,), 213), (3, (5, 5), 267),
-    (4, (41,), 1958), (5, (61,), 17440), (6, (85,), 169699),
-]
-# the full searches bench/baseline.json counts beyond these
-LARGE_NODES = [(True, 8, (145,), 2272779), (False, 7, (113,), 1637233)]
 
 
-@pytest.mark.parametrize(
-    "reduce, n, factors, nodes",
-    [(True, *case) for case in REDUCED_NODES] + [(False, *case) for case in UNREDUCED_NODES] + LARGE_NODES,
-)
+@pytest.mark.parametrize("reduce, n, factors, nodes", NODE_COUNTS)
 def test_node_counts_pinned(reduce, n, factors, nodes):
     options = SearchOptions(use_automorphism_reduction=reduce, node_budget=nodes)
     outcome = search_group(AbelianGroup(factors), n, options)
