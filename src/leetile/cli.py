@@ -16,15 +16,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
+from itertools import chain, islice
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
 from .certify import _write_summary_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
 from .errors import LeeTileError
-from .lee_geometry import sphere_points, sphere_size
+from .lee_geometry import sphere_size, walk_sphere
 from .profiles import check_identities_k2, check_identities_k4, profile
 from .search_engine import SearchOptions, search_group
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order, verify_lattice
@@ -57,15 +59,29 @@ def _emit(data: dict, as_json: bool, text_lines):
             print(line)
 
 
+# Coordinates per write of ``sphere --list``, 3-9 KB of text: the listing
+# goes out in pieces as the walk makes its points, never as one string.  A
+# JSON encoder chunk holds one coordinate, a text line n of them.
+_LIST_PIECE = 1000
+
+
 def _cmd_sphere(args) -> int:
     size = sphere_size(args.n, args.r)
-    points = sphere_points(args.n, args.r) if args.list else None
     data = {"n": args.n, "r": args.r, "size": size}
-    lines = [str(size)]
-    if points is not None:
-        data["points"] = [list(p) for p in points]
-        lines.extend(" ".join(str(c) for c in p) for p in points)
-    _emit(data, args.json, lines)
+    if not args.list:
+        _emit(data, args.json, [str(size)])
+        return EXIT_OK
+    zeros = [[0] * (2 * args.r + 1)] * args.n
+    points = (point for point, _ in walk_sphere(args.n, args.r, zeros, operator.add, 0))
+    if args.json:
+        data["points"] = [point.copy() for point in points]  # the walk reuses one list
+        texts = chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"])
+        per_write = _LIST_PIECE
+    else:
+        texts = chain([f"{size}\n"], (" ".join(map(str, point)) + "\n" for point in points))
+        per_write = max(1, _LIST_PIECE // args.n)
+    while piece := "".join(islice(texts, per_write)):
+        sys.stdout.write(piece)
     return EXIT_OK
 
 

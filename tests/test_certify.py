@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import re
+import signal
 import time
 
 import pytest
@@ -291,11 +292,24 @@ def test_range_summary():
     assert all(c.verdict == VERDICT_NONEXISTENT for c in summary.certificates)
 
 
+def _stalled(signum, frame):
+    raise TimeoutError("still running after 10 s: the range is walked per dimension")
+
+
 def test_range_does_no_work_per_dimension_above_the_thresholds():
-    start = time.perf_counter()
-    summary = certify_range(3, 10**12)
-    counts, gaps = summary.counts, summary.gaps
-    assert time.perf_counter() - start < 1
+    # a walk over 10^12 dimensions would run for hours, so an alarm turns
+    # that regression into a failure rather than a stalled run
+    previous = signal.signal(signal.SIGALRM, _stalled)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        start = time.perf_counter()
+        summary = certify_range(3, 10**12)
+        counts, gaps = summary.counts, summary.gaps
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1
     assert counts == {JUSTIFICATION_TABLE: 5, JUSTIFICATION_INEQUALITY: 10**12 - 7}
     assert gaps == () and summary.complete
 

@@ -9,6 +9,7 @@ import pytest
 import leetile
 from leetile import cli
 from leetile.cli import build_parser, main
+from leetile.lee_geometry import sphere_points, sphere_size
 
 ACCEPT_ARGS = ["verify", "--group", "Z13", "--n", "2", "--t", "0;1;12;5;8"]
 
@@ -48,6 +49,50 @@ def test_sphere_json(capsys):
     assert code == 0
     assert data["size"] == 13
     assert len(data["points"]) == 13
+
+
+SPHERE_LISTS = [(1, 2), (3, 5), (1500, 1)]
+
+
+@pytest.mark.parametrize("n, r", SPHERE_LISTS)
+def test_sphere_list_prints_the_lines_of_sphere_points(capsys, n, r):
+    code, out, err = run(capsys, ["sphere", "--n", str(n), "--r", str(r), "--list"])
+    points = sphere_points(n, r)
+    lines = [str(len(points))] + [" ".join(str(c) for c in p) for p in points]
+    assert (code, err) == (0, "")
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, r", SPHERE_LISTS)
+def test_sphere_list_json_is_json_dumps_of_sphere_points(capsys, n, r):
+    code, out, err = run(capsys, ["sphere", "--n", str(n), "--r", str(r), "--list", "--json"])
+    points = [list(p) for p in sphere_points(n, r)]
+    data = {"n": n, "r": r, "size": sphere_size(n, r), "points": points}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(data, indent=2) + "\n"
+
+
+class RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("n, r", [(3, 30), (1500, 1)])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_sphere_list_is_written_in_bounded_pieces(n, r, json_flag, monkeypatch):
+    out = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["sphere", "--n", str(n), "--r", str(r), "--list", *json_flag]) == 0
+    sizes = [len(text.encode()) for text in out.writes]
+    assert len(sizes) > 2
+    assert max(sizes) < 131072, max(sizes)
 
 
 def test_groups(capsys):
