@@ -21,7 +21,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import FactorizationError, SingularMatrixError
@@ -56,33 +55,31 @@ class AbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {factors}")
-
-    @cached_property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Index stride of each residue: g has lexicographic index sum(g_i * strides[i])."""
-        return tuple(math.prod(self.invariant_factors[i + 1:]) for i in range(self.rank))
-
-    @cached_property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
+        # The index data, built once: plain attributes, not fields, so that
+        # ==, hash and repr see the invariant factors alone.  rank is the
+        # number of factors and order their product; strides[i] is the
+        # product of the factors after i, so g has lexicographic index
+        # sum(g_i * strides[i]); exponent is the last factor (1 for the
+        # trivial group).
+        order, strides = 1, []
+        for d in reversed(factors):
+            strides.append(order)
+            order *= d
+        strides.reverse()
+        vars(self).update(
+            rank=len(factors), order=order, strides=tuple(strides), exponent=factors[-1] if factors else 1
+        )
 
     def identity(self) -> GroupElement:
         return (0,) * self.rank
 
     def contains(self, g) -> bool:
-        return (
-            isinstance(g, tuple)
-            and len(g) == self.rank
-            and all(type(r) is int and 0 <= r < d for r, d in zip(g, self.invariant_factors))
-        )
+        if not isinstance(g, tuple) or len(g) != self.rank:
+            return False
+        for r, d in zip(g, self.invariant_factors):
+            if type(r) is not int or not 0 <= r < d:
+                return False
+        return True
 
     def check_element(self, g) -> GroupElement:
         if not self.contains(g):
@@ -95,13 +92,13 @@ class AbelianGroup:
 
     def neg(self, g: GroupElement) -> GroupElement:
         """-g, for an element already checked by ``check_element``."""
-        return tuple(-a % d for a, d in zip(g, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.neg, g), self.invariant_factors))
 
     def scale(self, g: GroupElement, t: int) -> GroupElement:
         """t-fold sum of a checked element g; t is an int and may be
         negative or zero."""
         _check_multiplier(t)
-        return tuple((a * t) % d for a, d in zip(g, self.invariant_factors))
+        return tuple([a * t % d for a, d in zip(g, self.invariant_factors)])
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in lexicographic order of their residue tuples."""
@@ -114,7 +111,7 @@ class AbelianGroup:
     def element_at(self, index: int) -> GroupElement:
         """Element at position index of the lexicographic enumeration; the
         inverse of ``element_index``."""
-        return tuple(index // s % d for s, d in zip(self.strides, self.invariant_factors))
+        return tuple([index // s % d for s, d in zip(self.strides, self.invariant_factors)])
 
     def scaled_indices(self, t: int) -> list[int]:
         """Element index of t*g for every g, in element-index order."""
@@ -134,7 +131,11 @@ class AbelianGroup:
         such sum to the lexicographic index of the reduced sum a + b.
         """
         factors = self.invariant_factors
-        weights = [math.prod(2 * d - 1 for d in factors[i + 1:]) for i in range(self.rank)]
+        weights, width = [], 1
+        for d in reversed(factors):
+            weights.append(width)
+            width *= 2 * d - 1
+        weights.reverse()
         first, *rest = factors or (1,)  # the trivial group as Z1: fold is [0]
         fold = [*range(first), *range(first - 1)]
         for d in rest:
@@ -419,8 +420,9 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     value in the remaining submatrix, ties broken by row-major position,
     which makes the output deterministic; the scan stops at the first unit,
     which nothing later can beat, and a unit pivot needs no divisibility
-    check.  A singular matrix runs out of nonzero pivots and raises
-    SingularMatrixError.
+    check.  The last round's submatrix is one entry, which is its pivot, so
+    that round only fixes the sign.  A singular matrix runs out of nonzero
+    pivots and raises SingularMatrixError.
 
     A ``LatticeBasis`` is taken as it is, its entries having been checked
     when it was built; any other matrix is checked here.
@@ -436,7 +438,7 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     n = len(rows)
     a = [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
-    for k in range(n):
+    for k in range(n - 1):
         while True:
             best = 0
             for i in range(k, n):
@@ -506,7 +508,13 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
             for j, _ in nonzero:
                 pivot_row[j] = -pivot_row[j]
 
-    return tuple(tuple(r[:n]) for r in a), tuple(tuple(r[n:]) for r in a)
+    if n:  # the last round: the pivot alone, and its sign fix
+        last = a[-1]
+        if not last[n - 1]:
+            raise SingularMatrixError("matrix is singular")
+        if last[n - 1] < 0:
+            a[-1] = [-x for x in last]
+    return tuple([tuple(r[:n]) for r in a]), tuple([tuple(r[n:]) for r in a])
 
 
 def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement, ...]]:
@@ -519,8 +527,8 @@ def quotient_map(basis: LatticeBasis) -> tuple[AbelianGroup, tuple[GroupElement,
     d, u = smith_normal_form(basis)
     n = basis.n
     keep = [i for i in range(n) if d[i][i] != 1]
-    group = AbelianGroup(tuple(d[i][i] for i in keep))
-    images = tuple(
-        tuple(u[i][j] % d[i][i] for i in keep) for j in range(n)
-    )
-    return group, images
+    factors = tuple([d[i][i] for i in keep])
+    # image j is column j of the kept rows of U, each reduced mod its factor
+    rows = [[x % f for x in u[i]] for i, f in zip(keep, factors)]
+    images = tuple(zip(*rows)) if rows else ((),) * n
+    return AbelianGroup(factors), images

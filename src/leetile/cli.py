@@ -19,7 +19,7 @@ import json
 import operator
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
 from .certify import _write_summary_json
@@ -59,9 +59,9 @@ def _emit(data: dict, as_json: bool, text_lines):
             print(line)
 
 
-# Coordinates per write of ``sphere --list``, 3-9 KB of text: the listing
-# goes out in pieces as the walk makes its points, never as one string.  A
-# JSON encoder chunk holds one coordinate, a text line n of them.
+# Coordinates per write of ``sphere --list``, 2-6 KB of text or 10-25 KB of
+# JSON: the listing goes out in pieces as the walk makes its points, never
+# as one string.
 _LIST_PIECE = 1000
 
 
@@ -73,15 +73,21 @@ def _cmd_sphere(args) -> int:
         return EXIT_OK
     zeros = [[0] * (2 * args.r + 1)] * args.n
     points = (point for point, _ in walk_sphere(args.n, args.r, zeros, operator.add, 0))
+    # Each point's text is made as the walk makes the point (the walk reuses
+    # one list); the texts go out joined by sep, after head and before tail.
     if args.json:
-        data["points"] = [point.copy() for point in points]  # the walk reuses one list
-        texts = chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"])
-        per_write = _LIST_PIECE
+        # the text of json.dumps(data, indent=2) with the points filled in
+        empty = json.dumps({**data, "points": []}, indent=2)
+        head, sep, tail = empty[: -len("[]\n}")] + "[\n    ", ",\n    ", "\n  ]\n}\n"
+        texts = ("[\n      " + ",\n      ".join(map(str, point)) + "\n    ]" for point in points)
     else:
-        texts = chain([f"{size}\n"], (" ".join(map(str, point)) + "\n" for point in points))
-        per_write = max(1, _LIST_PIECE // args.n)
-    while piece := "".join(islice(texts, per_write)):
-        sys.stdout.write(piece)
+        head, sep, tail = f"{size}\n", "\n", "\n"
+        texts = (" ".join(map(str, point)) for point in points)
+    lead = head
+    while chunk := list(islice(texts, max(1, _LIST_PIECE // args.n))):
+        sys.stdout.write(lead + sep.join(chunk))
+        lead = sep
+    sys.stdout.write(tail)
     return EXIT_OK
 
 

@@ -22,10 +22,16 @@ class LeeSphereSpec:
     r: int
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
-        if type(self.r) is not int or self.r < 0:
-            raise ValueError(f"radius must be an int >= 0, got {self.r!r}")
+        _check_sphere(self.n, self.r)
+
+
+def _check_sphere(n, r) -> None:
+    """Reject n < 1, r < 0 and any n or r that is not an int exactly; the
+    one check of every sphere's dimension and radius."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension must be an int >= 1, got {n!r}")
+    if type(r) is not int or r < 0:
+        raise ValueError(f"radius must be an int >= 0, got {r!r}")
 
 
 def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int], Any]]:
@@ -42,7 +48,7 @@ def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int],
     point.  ``point`` is one list that the walk reuses, changed in place
     after each yield; a caller that keeps a point copies it.
     """
-    LeeSphereSpec(n, r)  # rejects n < 1, r < 0 and any n or r not an int
+    _check_sphere(n, r)
     point = [0] * n
     # Depth first over the coordinates, one iterator over the values of each
     # open coordinate, kept on a list rather than the call stack so large n
@@ -84,8 +90,5 @@ def sphere_size(n: int, r: int) -> int:
     Evaluates sum over i of 2^i * C(n, i) * C(r, i); for r = 2 this is
     2n^2 + 2n + 1.
     """
-    spec = LeeSphereSpec(n, r)
-    return sum(
-        (1 << i) * comb(spec.n, i) * comb(spec.r, i)
-        for i in range(min(spec.n, spec.r) + 1)
-    )
+    _check_sphere(n, r)
+    return sum((1 << i) * comb(n, i) * comb(r, i) for i in range(min(n, r) + 1))

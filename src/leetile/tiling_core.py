@@ -138,7 +138,9 @@ def check_conditions(candidate: TilingCandidate) -> VerificationReport:
     pattern[0] = arm_count  # the identity, at index 0, is also the doubled arm 2 * 0
     if square == pattern:
         return _accept()
-    index = next(i for i, (s, p) in enumerate(zip(square, pattern)) if s != p)
+    index = 0
+    while square[index] == pattern[index]:
+        index += 1
     return _reject(
         FAILED_QUADRATIC,
         {"element": list(group.element_at(index)), "expected": pattern[index], "actual": square[index]},
@@ -244,4 +246,4 @@ def to_group_model(basis: LatticeBasis) -> TilingCandidate:
         raise ArmCollisionError(
             f"arm images collapse: got {len(arms)} distinct arms, need {2 * n + 1}"
         )
-    return TilingCandidate(group, n, tuple(sorted(arms)))
+    return TilingCandidate(group, n, tuple(arms))  # the candidate sorts its arms

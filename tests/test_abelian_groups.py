@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -68,6 +69,49 @@ def test_strides_number_the_elements_lexicographically(factors):
     assert [sum(r * s for r, s in zip(e, g.strides)) for e in elems] == list(range(g.order))
     assert [g.element_index(e) for e in elems] == list(range(g.order))
     assert [g.element_at(i) for i in range(g.order)] == elems
+
+
+def test_index_data_matches_its_definition():
+    groups = [AbelianGroup(())] + [g for m in range(1, 401) for g in enumerate_groups(m)]
+    for g in groups:
+        factors = g.invariant_factors
+        assert g.rank == len(factors)
+        assert g.order == math.prod(factors)
+        assert g.strides == tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
+        assert g.exponent == (factors[-1] if factors else 1)
+
+
+@pytest.mark.parametrize("factors", [(), (13,), (2, 4), (5, 5, 65)])
+def test_equality_hash_and_repr_see_the_factors_alone(factors):
+    g, twin = AbelianGroup(factors), AbelianGroup(list(factors))
+    assert g == twin and hash(g) == hash(twin)
+    assert hash(g) == hash((factors,))
+    assert repr(g) == f"AbelianGroup(invariant_factors={factors!r})"
+    assert g != AbelianGroup((7,) if factors != (7,) else (11,))
+    for name in ("rank", "order", "strides", "exponent"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, getattr(g, name))
+
+
+CONTAINS_PROBES = [
+    (), (0,), (12,), (13,), (-1,), (True,), (1.0,), (0, 0), [5], "5", None,
+    (1, 3), (1, 4), (2, 0), (-1, 0), (0, -1), (0, True), (False, 1), (1, 2.0), (0, 0, 0),
+]
+
+
+def _contains_reference(group, g):
+    return (
+        isinstance(g, tuple)
+        and len(g) == len(group.invariant_factors)
+        and all(type(r) is int and 0 <= r < d for r, d in zip(g, group.invariant_factors))
+    )
+
+
+@pytest.mark.parametrize("factors", [(), (13,), (2, 4)])
+def test_contains_rejects_exactly_the_non_elements(factors):
+    group = AbelianGroup(factors)
+    for g in CONTAINS_PROBES + list(group.elements()):
+        assert group.contains(g) == _contains_reference(group, g), g
 
 
 @pytest.mark.parametrize("factors", [(25,), (5, 5), (3, 3, 9), ()])

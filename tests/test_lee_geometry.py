@@ -114,13 +114,23 @@ def test_size_examples():
     assert sphere_size(12, 2) == 313
 
 
+DIMENSION_MESSAGE = "dimension must be an int >= 1"
+RADIUS_MESSAGE = "radius must be an int >= 0"
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=DIMENSION_MESSAGE):
         LeeSphereSpec(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=RADIUS_MESSAGE):
+        LeeSphereSpec(2, -1)
+    with pytest.raises(ValueError, match=RADIUS_MESSAGE):
         sphere_points(2, -1)
-    with pytest.raises(ValueError):
-        next(walk_sphere(0, 1, [], None, 0))
+    # walk_sphere and sphere_size share LeeSphereSpec's check and messages
+    for n, r, message in [(0, 1, DIMENSION_MESSAGE), (2, -1, RADIUS_MESSAGE)]:
+        with pytest.raises(ValueError, match=message):
+            next(walk_sphere(n, r, [[0] * 3] * 2, None, 0))
+        with pytest.raises(ValueError, match=message):
+            sphere_size(n, r)
 
 
 # The Z13 tiling of the plane, whose radius-2 spheres tile Z^2.
@@ -128,23 +138,27 @@ PLANE = LatticeBasis.from_columns([(13, 0), (-5, 1)])
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, message",
     [
-        lambda: LeeSphereSpec(2.0, 2),
-        lambda: LeeSphereSpec(True, 2),
-        lambda: LeeSphereSpec(2, 2.0),
-        lambda: LeeSphereSpec(2, True),
-        lambda: sphere_size(2, 2.0),
-        lambda: sphere_points(True, 1),
-        lambda: verify_lattice(PLANE, True),
-        lambda: verify_lattice(PLANE, 2.0),
-        lambda: verify_lattice(PLANE, -1),
+        (lambda: LeeSphereSpec(2.0, 2), DIMENSION_MESSAGE),
+        (lambda: LeeSphereSpec(True, 2), DIMENSION_MESSAGE),
+        (lambda: LeeSphereSpec(2, 2.0), RADIUS_MESSAGE),
+        (lambda: LeeSphereSpec(2, True), RADIUS_MESSAGE),
+        (lambda: sphere_size(2, 2.0), RADIUS_MESSAGE),
+        (lambda: sphere_points(True, 1), DIMENSION_MESSAGE),
+        (lambda: verify_lattice(PLANE, True), RADIUS_MESSAGE),
+        (lambda: verify_lattice(PLANE, 2.0), RADIUS_MESSAGE),
+        (lambda: verify_lattice(PLANE, -1), RADIUS_MESSAGE),
+        (lambda: next(walk_sphere(2, 2.0, [[0] * 5] * 2, None, 0)), RADIUS_MESSAGE),
+        (lambda: next(walk_sphere(True, 1, [[0] * 3], None, 0)), DIMENSION_MESSAGE),
+        (lambda: sphere_size(True, 2), DIMENSION_MESSAGE),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "bool-r", "size-float-r", "points-bool-n",
         "verify-bool-r", "verify-float-r", "verify-negative-r",
+        "walk-float-r", "walk-bool-n", "size-bool-n",
     ],
 )
-def test_non_int_rejected_not_coerced(make):
-    with pytest.raises(ValueError):
+def test_non_int_rejected_not_coerced(make, message):
+    with pytest.raises(ValueError, match=message):
         make()
