@@ -23,7 +23,7 @@ from .errors import (
     RejectedCandidateError,
     SingularMatrixError,
 )
-from .lee_geometry import LeeSphereSpec, sphere_points, sphere_size
+from .lee_geometry import sphere_points, sphere_size
 from .profiles import (
     DeltaReport,
     IdentityReport,
@@ -59,7 +59,6 @@ __all__ = [
     "FactorizationError",
     "IdentityReport",
     "LatticeBasis",
-    "LeeSphereSpec",
     "LeeTileError",
     "MultiplicityProfile",
     "NonexistenceCertificate",

@@ -30,8 +30,10 @@ GroupElement = tuple[int, ...]
 _TRIAL_BOUND = 10**6  # trial division limit; rho handles cofactors up to its 4th power
 _RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofactor
 
-# Deterministic Miller-Rabin witness set, valid for all inputs < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witness set, the first 13 primes: deterministic below about
+# 3.3e24 (see ``_is_prime``).  Without 41 it is only below about 3.19e23,
+# where 318665857834031151167461 = 399165290221 * 798330580441 passes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,11 @@ def _check_multiplier(t) -> None:
         raise ValueError(f"multiplier {t!r} is not an int")
 
 
-def _is_probable_prime(m: int) -> bool:
+def _is_prime(m: int) -> bool:
+    """Whether m is prime, by Miller-Rabin on ``_MR_BASES``.  That proves
+    primality only below 3317044064679887385961981, the least composite
+    passing every base, so a number at or above it that passes raises
+    ``FactorizationError`` instead."""
     if m < 2:
         return False
     for p in _MR_BASES:
@@ -211,6 +217,8 @@ def _is_probable_prime(m: int) -> bool:
                 break
         else:
             return False
+    if m >= 3317044064679887385961981:
+        raise FactorizationError(f"order too large to factor: cofactor {m} is not proven prime")
     return True
 
 
@@ -235,11 +243,12 @@ def factorize(m: int) -> dict[int, int]:
     """Prime factorization of m >= 1 as {prime: exponent}.
 
     Trial division runs up to 10**6.  A remaining cofactor is accepted
-    outright when it passes a deterministic primality test.  A composite
-    cofactor is attacked with Pollard rho only while it is at most 10**24
-    (its smallest prime factor is then at most 10**12, which rho digs out
-    in about 10**6 steps); anything larger is rejected explicitly instead
-    of factoring for an unbounded time.
+    outright when a deterministic Miller-Rabin test proves it prime, which
+    it can below about 3.3e24.  A composite cofactor is attacked with
+    Pollard rho only while it is at most 10**24 (its smallest prime factor
+    is then at most 10**12, which rho digs out in about 10**6 steps).
+    Anything larger, and a cofactor the test passes but cannot prove prime,
+    is rejected explicitly instead of factoring for an unbounded time.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"cannot factor {m!r}: not an int >= 1")
@@ -258,14 +267,14 @@ def factorize(m: int) -> dict[int, int]:
         step = 6 - step
     if m == 1:
         return out
-    if p * p > m or _is_probable_prime(m):
+    if p * p > m or _is_prime(m):
         out[m] = out.get(m, 0) + 1
         return out
     # Composite cofactor with no factor below the trial bound.
     stack = [m]
     while stack:
         c = stack.pop()
-        if _is_probable_prime(c):
+        if _is_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
         if c > _TRIAL_BOUND**4:

@@ -29,7 +29,6 @@ import reprlib
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 from .abelian_groups import AbelianGroup
@@ -453,14 +452,10 @@ def certify_range(lo: int, hi: int, *, search_fallback: bool = False) -> Certifi
 # the text is reused.
 _MARKERS = ("\0n", "\0value")
 
-# Certificates per write of ``_write_summary_json``: about 59 KB of text, so
-# a long range is never held in memory as one string, and each buffer made
-# for a piece (the joined text, its concatenation with the separator, the
-# bytes a stream encodes it to) stays below glibc malloc's default 128 KiB
-# mmap threshold.  The heap then reuses those buffers from piece to piece;
-# at 1000 certificates (about 590 KB) they were mapped, or the heap trimmed
-# and grown again, on every piece, at about 7,900 minor page faults per
-# 3:30000 summary.
+# Certificates per write of ``certify --range --json``: about 59 KB of text,
+# under the 128 KiB that ``cli._write_pieces`` keeps each write below.  At
+# 1000 (about 590 KB) the buffers of every piece were mapped anew, at about
+# 7,900 minor page faults per 3:30000 summary.
 _JSON_CHUNK = 100
 
 
@@ -498,17 +493,3 @@ def _certificate_json(summary: CertificationSummary, pad: str = ""):
         head, middle, tail, a, b, c = template
         yield f"{head}{n}{middle}{a * n * n + b * n + c}{tail}"
 
-
-def _write_summary_json(summary: CertificationSummary, out) -> None:
-    """Write ``json.dumps(summary.to_dict(), indent=2)`` to the text stream
-    ``out``: the head, then the certificates ``_JSON_CHUNK`` (100) at a
-    time, then the closing brackets.  A write of 100 certificates is about
-    59 KB, below the 128 KiB above which malloc maps each buffer anew (see
-    ``_JSON_CHUNK``)."""
-    head = json.dumps({**summary._head(), "certificates": []}, indent=2)
-    first = lead = head[: -len("[]\n}")] + "[\n    "
-    texts = _certificate_json(summary, "    ")
-    while chunk := list(islice(texts, _JSON_CHUNK)):
-        out.write(lead + ",\n    ".join(chunk))
-        lead = ",\n    "
-    out.write(head if lead is first else "\n  ]\n}")

@@ -22,7 +22,7 @@ import sys
 from itertools import islice
 
 from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
-from .certify import _write_summary_json
+from .certify import _JSON_CHUNK, _certificate_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
 from .errors import LeeTileError
@@ -59,9 +59,34 @@ def _emit(data: dict, as_json: bool, text_lines):
             print(line)
 
 
+def _write_pieces(head: str, sep: str, texts, per_write: int) -> bool:
+    """Write ``head`` and then ``texts`` joined by ``sep`` to stdout,
+    ``per_write`` texts a write, and say whether any text came (with none,
+    nothing is written).  A long listing is never held as one string.  A
+    piece under 128 KiB keeps each buffer made for it (the joined text, its
+    concatenation, the bytes a stream encodes it to) below glibc malloc's
+    default mmap threshold, so the heap reuses them from piece to piece."""
+    lead = head
+    while chunk := list(islice(texts, per_write)):
+        sys.stdout.write(lead + sep.join(chunk))
+        lead = sep
+    return lead is not head
+
+
+def _write_listing(doc: dict, texts, per_write: int) -> None:
+    """Print ``json.dumps(doc, indent=2)`` with ``texts`` as the items of
+    doc's last field, which ``doc`` leaves an empty list.  Each text is the
+    indent-2 JSON of one item, every line after the first indented by four
+    spaces; they go out ``per_write`` at a time."""
+    empty = json.dumps(doc, indent=2)
+    if _write_pieces(empty[: -len("[]\n}")] + "[\n    ", ",\n    ", texts, per_write):
+        print("\n  ]\n}")
+    else:
+        print(empty)
+
+
 # Coordinates per write of ``sphere --list``, 2-6 KB of text or 10-25 KB of
-# JSON: the listing goes out in pieces as the walk makes its points, never
-# as one string.
+# JSON: the listing goes out in pieces as the walk makes its points.
 _LIST_PIECE = 1000
 
 
@@ -74,20 +99,14 @@ def _cmd_sphere(args) -> int:
     zeros = [[0] * (2 * args.r + 1)] * args.n
     points = (point for point, _ in walk_sphere(args.n, args.r, zeros, operator.add, 0))
     # Each point's text is made as the walk makes the point (the walk reuses
-    # one list); the texts go out joined by sep, after head and before tail.
+    # one list).
+    per_write = max(1, _LIST_PIECE // args.n)
     if args.json:
-        # the text of json.dumps(data, indent=2) with the points filled in
-        empty = json.dumps({**data, "points": []}, indent=2)
-        head, sep, tail = empty[: -len("[]\n}")] + "[\n    ", ",\n    ", "\n  ]\n}\n"
         texts = ("[\n      " + ",\n      ".join(map(str, point)) + "\n    ]" for point in points)
+        _write_listing({**data, "points": []}, texts, per_write)
     else:
-        head, sep, tail = f"{size}\n", "\n", "\n"
-        texts = (" ".join(map(str, point)) for point in points)
-    lead = head
-    while chunk := list(islice(texts, max(1, _LIST_PIECE // args.n))):
-        sys.stdout.write(lead + sep.join(chunk))
-        lead = sep
-    sys.stdout.write(tail)
+        _write_pieces(f"{size}\n", "\n", (" ".join(map(str, point)) for point in points), per_write)
+        print()
     return EXIT_OK
 
 
@@ -112,6 +131,12 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
+def _candidate(args) -> TilingCandidate:
+    """The candidate of ``--group``, ``--n`` and ``--t``."""
+    group = AbelianGroup.from_spec(args.group)
+    return TilingCandidate(group, args.n, parse_arm_string(group, args.t))
+
+
 def _cmd_verify(args) -> int:
     if (args.basis is None) == (args.group is None):
         raise ValueError("give exactly one of --basis or --group")
@@ -125,18 +150,13 @@ def _cmd_verify(args) -> int:
             raise ValueError("--group mode needs --n and --t")
         if args.r != 2:
             raise ValueError(f"--group mode checks radius 2 only, got --r {args.r}")
-        group = AbelianGroup.from_spec(args.group)
-        arms = parse_arm_string(group, args.t)
-        candidate = TilingCandidate(group, args.n, arms)
-        report = check_conditions(candidate)
+        report = check_conditions(_candidate(args))
     _emit(report.to_dict(), args.json, _report_lines(report))
     return EXIT_OK if report.accepted else EXIT_REJECT
 
 
 def _cmd_profile(args) -> int:
-    group = AbelianGroup.from_spec(args.group)
-    arms = parse_arm_string(group, args.t)
-    candidate = TilingCandidate(group, args.n, arms)
+    candidate = _candidate(args)
     report = check_conditions(candidate)
     if not report.accepted:
         _emit(
@@ -147,7 +167,7 @@ def _cmd_profile(args) -> int:
         return EXIT_REJECT
     prof = profile(candidate, args.k)
     data = {"verification": report.to_dict(), "profile": prof.to_dict()}
-    lines = [f"profile of the power-{args.k} product over {group.spec_string()}"]
+    lines = [f"profile of the power-{args.k} product over {candidate.group.spec_string()}"]
     lines.extend(
         f"  multiplicity {i}: {c} elements" for i, c in sorted(prof.histogram.items())
     )
@@ -211,7 +231,7 @@ def _cmd_certify(args) -> int:
         except LeeTileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_GAP
-        print(json.dumps(cert.to_dict(), indent=2) if args.json else "\n".join(_certificate_lines(cert)))
+        _emit(cert.to_dict(), args.json, _certificate_lines(cert))
         return EXIT_OK
     try:
         lo_text, hi_text = args.range.split(":")
@@ -221,8 +241,8 @@ def _cmd_certify(args) -> int:
     summary = _certify_range(lo, hi, search_fallback=args.search_fallback)
     gaps = summary.gaps
     if args.json:
-        _write_summary_json(summary, sys.stdout)
-        print()
+        texts = _certificate_json(summary, "    ")
+        _write_listing({**summary._head(), "certificates": []}, texts, _JSON_CHUNK)
     else:
         print(f"certified {hi - lo + 1 - len(gaps)} of {hi - lo + 1} dimensions in [{lo}, {hi}]")
         print("counts: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.counts.items())))

@@ -6,28 +6,16 @@ arbitrary-precision integers.
 """
 
 import operator
-from dataclasses import dataclass
 from math import comb
 from typing import Any, Iterator
 
 LeeVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LeeSphereSpec:
-    """Dimension and radius of a Lee sphere centered at the origin.  Both
-    must be ``int`` exactly: a float or a bool is rejected, never coerced."""
-
-    n: int
-    r: int
-
-    def __post_init__(self):
-        _check_sphere(self.n, self.r)
-
-
 def _check_sphere(n, r) -> None:
-    """Reject n < 1, r < 0 and any n or r that is not an int exactly; the
-    one check of every sphere's dimension and radius."""
+    """Reject n < 1, r < 0 and any n or r that is not an int exactly (a
+    float or a bool is rejected, never coerced); the one check of every
+    sphere's dimension and radius."""
     if type(n) is not int or n < 1:
         raise ValueError(f"dimension must be an int >= 1, got {n!r}")
     if type(r) is not int or r < 0:

@@ -315,6 +315,19 @@ def test_factorize_explicit_rejection():
         factorize(p * q)
 
 
+def test_factorize_strong_pseudoprimes():
+    # The least composites that pass Miller-Rabin on every prime base up to
+    # 37 and up to 41: the first needs base 41 to split, the second is above
+    # the bound where the test proves anything, so it is rejected.
+    split = 318665857834031151167461
+    unproven = 3317044064679887385961981
+    assert sympy.factorint(split) == {399165290221: 1, 798330580441: 1}
+    assert factorize(split) == {399165290221: 1, 798330580441: 1}
+    assert sympy.factorint(unproven) == {1287836182261: 1, 2575672364521: 1}
+    with pytest.raises(FactorizationError, match="not proven prime"):
+        factorize(unproven)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

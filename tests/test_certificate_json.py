@@ -1,19 +1,21 @@
 """The certificate ``--json`` writer encodes the inequality certificates of
-each residue class n mod 15 once and fills in n and q(n); its text must equal
-``json.dumps(..., indent=2)`` of the ``to_dict`` data view, however the
-certificates fall into the chunks it writes."""
+each residue class n mod 15 once and fills in n and q(n); what the CLI's
+listing writer prints of them must equal ``json.dumps(..., indent=2)`` of the
+``to_dict`` data view, however the certificates fall into the chunks it
+writes."""
 
-import importlib
 import io
 import json
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leetile.certify import CertificationSummary, certify, certify_range
-from leetile.certify import _JSON_CHUNK, _certificate_json, _write_summary_json
+from leetile.certify import _JSON_CHUNK, _certificate_json
+from leetile.cli import _write_listing
 from leetile.errors import LeeTileError
 
 
@@ -36,10 +38,19 @@ def test_certificates_match_to_dict():
             assert first_difference(c.to_dict(), text) is None, c.n
 
 
-def summary_json(summary) -> str:
-    out = io.StringIO()
-    _write_summary_json(summary, out)
-    return out.getvalue()
+def write_summary(summary, chunk=_JSON_CHUNK) -> None:
+    """Print ``summary`` as ``certify --range --json`` does."""
+    texts = _certificate_json(summary, "    ")
+    _write_listing({**summary._head(), "certificates": []}, texts, chunk)
+
+
+def summary_json(summary, chunk=_JSON_CHUNK) -> str:
+    """What ``write_summary`` prints, less the newline it ends with."""
+    with redirect_stdout(io.StringIO()) as out:
+        write_summary(summary, chunk)
+    text = out.getvalue()
+    assert text.endswith("}\n")
+    return text[:-1]
 
 
 SUMMARY_CASES = [
@@ -57,38 +68,15 @@ def test_summary_matches_to_dict(lo, hi, search_fallback):
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 @pytest.mark.parametrize("lo, hi, search_fallback", SUMMARY_CASES)
-def test_summary_matches_to_dict_across_chunks(lo, hi, search_fallback, chunk, monkeypatch):
-    # ``leetile.certify`` is also the name of a function, so fetch the module
-    monkeypatch.setattr(importlib.import_module("leetile.certify"), "_JSON_CHUNK", chunk)
+def test_summary_matches_to_dict_across_chunks(lo, hi, search_fallback, chunk):
     summary = certify_range(lo, hi, search_fallback=search_fallback)
-    assert first_difference(summary.to_dict(), summary_json(summary)) is None
+    assert first_difference(summary.to_dict(), summary_json(summary, chunk)) is None
 
 
 def test_summary_of_several_default_chunks_matches_to_dict():
     summary = certify_range(3, 3500)
     assert len(summary.certificates) > 3 * _JSON_CHUNK
     assert first_difference(summary.to_dict(), summary_json(summary)) is None
-
-
-class RecordingStream:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text: str) -> int:
-        self.writes.append(text)
-        return len(text)
-
-
-def test_long_range_is_written_in_bounded_pieces():
-    # below glibc malloc's default mmap threshold (128 KiB), so the buffers
-    # of a piece are reused from the heap rather than mapped per write
-    summary = certify_range(3, 30000)
-    out = RecordingStream()
-    _write_summary_json(summary, out)
-    sizes = [len(text.encode()) for text in out.writes]
-    assert len(sizes) > 1
-    assert max(sizes) < 131072, max(sizes)
-    assert sum(sizes) > 17_000_000  # the whole 17.7 MB summary went through
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -136,7 +124,8 @@ def test_range_json_memory_does_not_grow_with_the_range():
     sink = CountingSink()
     tracemalloc.start()
     try:
-        _write_summary_json(certify_range(3, 100000), sink)
+        with redirect_stdout(sink):
+            write_summary(certify_range(3, 100000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import pytest
 
 import leetile
 from leetile import cli
+from leetile.certify import certify_range
 from leetile.cli import build_parser, main
 from leetile.lee_geometry import sphere_points, sphere_size
 
@@ -54,22 +55,32 @@ def test_sphere_json(capsys):
 SPHERE_LISTS = [(1, 2), (3, 5), (1500, 1)]
 
 
+def sphere_text(n, r):
+    """``sphere --list`` output from ``sphere_points``."""
+    points = sphere_points(n, r)
+    lines = [str(len(points))] + [" ".join(str(c) for c in p) for p in points]
+    return "\n".join(lines) + "\n"
+
+
+def sphere_json(n, r):
+    """``sphere --list --json`` output from ``sphere_points``."""
+    points = [list(p) for p in sphere_points(n, r)]
+    data = {"n": n, "r": r, "size": sphere_size(n, r), "points": points}
+    return json.dumps(data, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("n, r", SPHERE_LISTS)
 def test_sphere_list_prints_the_lines_of_sphere_points(capsys, n, r):
     code, out, err = run(capsys, ["sphere", "--n", str(n), "--r", str(r), "--list"])
-    points = sphere_points(n, r)
-    lines = [str(len(points))] + [" ".join(str(c) for c in p) for p in points]
     assert (code, err) == (0, "")
-    assert out == "\n".join(lines) + "\n"
+    assert out == sphere_text(n, r)
 
 
 @pytest.mark.parametrize("n, r", SPHERE_LISTS)
 def test_sphere_list_json_is_json_dumps_of_sphere_points(capsys, n, r):
     code, out, err = run(capsys, ["sphere", "--n", str(n), "--r", str(r), "--list", "--json"])
-    points = [list(p) for p in sphere_points(n, r)]
-    data = {"n": n, "r": r, "size": sphere_size(n, r), "points": points}
     assert (code, err) == (0, "")
-    assert out == json.dumps(data, indent=2) + "\n"
+    assert out == sphere_json(n, r)
 
 
 class RecordingStream:
@@ -84,15 +95,29 @@ class RecordingStream:
         pass
 
 
-@pytest.mark.parametrize("n, r", [(3, 30), (1500, 1)])
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-def test_sphere_list_is_written_in_bounded_pieces(n, r, json_flag, monkeypatch):
+LISTINGS = {
+    "certify-range": (
+        ["certify", "--range", "3:30000", "--json"],
+        lambda: json.dumps(certify_range(3, 30000).to_dict(), indent=2) + "\n",
+    ),
+    "sphere-text": (["sphere", "--n", "3", "--r", "30", "--list"], lambda: sphere_text(3, 30)),
+    "sphere-json": (["sphere", "--n", "3", "--r", "30", "--list", "--json"], lambda: sphere_json(3, 30)),
+    "sphere-text-n1500": (["sphere", "--n", "1500", "--r", "1", "--list"], lambda: sphere_text(1500, 1)),
+    "sphere-json-n1500": (["sphere", "--n", "1500", "--r", "1", "--list", "--json"], lambda: sphere_json(1500, 1)),
+}
+
+
+@pytest.mark.parametrize("argv, expected", LISTINGS.values(), ids=LISTINGS.keys())
+def test_listings_are_written_in_bounded_pieces(argv, expected, monkeypatch):
+    # below glibc malloc's default mmap threshold (128 KiB), so the buffers
+    # of a piece are reused from the heap rather than mapped per write
     out = RecordingStream()
     monkeypatch.setattr(sys, "stdout", out)
-    assert cli.run(["sphere", "--n", str(n), "--r", str(r), "--list", *json_flag]) == 0
+    assert cli.run(argv) == 0
     sizes = [len(text.encode()) for text in out.writes]
     assert len(sizes) > 2
     assert max(sizes) < 131072, max(sizes)
+    assert "".join(out.writes) == expected()  # every byte arrived, in order
 
 
 def test_groups(capsys):
@@ -317,6 +342,21 @@ def test_groups_order_too_large_to_factor(capsys):
     assert code == 2
     assert out == ""
     assert "too large to factor" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groups", "--order", "3317044064679887385961981"],
+        ["verify", "--group", "Z3317044064679887385961981", "--n", "2", "--t", "0;1"],
+    ],
+    ids=["groups", "verify-group"],
+)
+def test_order_not_proven_prime_exits_2(capsys, argv):
+    # composite, but it passes Miller-Rabin on every base the test uses
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "not proven prime" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

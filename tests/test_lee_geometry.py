@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leetile import LatticeBasis, LeeSphereSpec, sphere_points, sphere_size, verify_lattice
+from leetile import LatticeBasis, sphere_points, sphere_size, verify_lattice
 from leetile.lee_geometry import walk_sphere
 
 from oracles import lee_distance
@@ -119,14 +119,10 @@ RADIUS_MESSAGE = "radius must be an int >= 0"
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match=DIMENSION_MESSAGE):
-        LeeSphereSpec(0, 2)
-    with pytest.raises(ValueError, match=RADIUS_MESSAGE):
-        LeeSphereSpec(2, -1)
     with pytest.raises(ValueError, match=RADIUS_MESSAGE):
         sphere_points(2, -1)
-    # walk_sphere and sphere_size share LeeSphereSpec's check and messages
-    for n, r, message in [(0, 1, DIMENSION_MESSAGE), (2, -1, RADIUS_MESSAGE)]:
+    # walk_sphere and sphere_size share one check and its messages
+    for n, r, message in [(0, 1, DIMENSION_MESSAGE), (0, 2, DIMENSION_MESSAGE), (2, -1, RADIUS_MESSAGE)]:
         with pytest.raises(ValueError, match=message):
             next(walk_sphere(n, r, [[0] * 3] * 2, None, 0))
         with pytest.raises(ValueError, match=message):
@@ -140,10 +136,10 @@ PLANE = LatticeBasis.from_columns([(13, 0), (-5, 1)])
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: LeeSphereSpec(2.0, 2), DIMENSION_MESSAGE),
-        (lambda: LeeSphereSpec(True, 2), DIMENSION_MESSAGE),
-        (lambda: LeeSphereSpec(2, 2.0), RADIUS_MESSAGE),
-        (lambda: LeeSphereSpec(2, True), RADIUS_MESSAGE),
+        (lambda: sphere_size(2.0, 2), DIMENSION_MESSAGE),
+        (lambda: next(walk_sphere(True, 2, [[0] * 5], None, 0)), DIMENSION_MESSAGE),
+        (lambda: next(walk_sphere(3, 1.0, [[0] * 3] * 3, None, 0)), RADIUS_MESSAGE),
+        (lambda: sphere_size(2, True), RADIUS_MESSAGE),
         (lambda: sphere_size(2, 2.0), RADIUS_MESSAGE),
         (lambda: sphere_points(True, 1), DIMENSION_MESSAGE),
         (lambda: verify_lattice(PLANE, True), RADIUS_MESSAGE),

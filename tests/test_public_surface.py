@@ -9,10 +9,12 @@ from pathlib import Path
 
 import leetile
 
-# Test oracles and group-ring names the package no longer exports.
+# Test oracles, group-ring names and removed names the package no longer
+# exports.
 UNEXPORTED = (
     "GroupMismatchError",
     "GroupRingElement",
+    "LeeSphereSpec",
     "brute_force_search",
     "lee_distance",
     "pair_multiplicity",
