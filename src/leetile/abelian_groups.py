@@ -34,6 +34,10 @@ _RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofac
 # 3.3e24 (see ``_is_prime``).  Without 41 it is only below about 3.19e23,
 # where 318665857834031151167461 = 399165290221 * 798330580441 passes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Bases 2 .. _LUCAS_BASES - 1 are tried for the Lucas test's witnesses.  The
+# least base that is not a q-th power mod a prime m is a prime, in practice
+# a small one, so for a prime m the first few bases serve every q.
+_LUCAS_BASES = 1000
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,9 @@ class AbelianGroup:
     def scaled_indices(self, t: int) -> list[int]:
         """Element index of t*g for every g, in element-index order."""
         _check_multiplier(t)
-        indices = [0]
-        for d, s in zip(self.invariant_factors, self.strides):
-            axis = [t * r % d * s for r in range(d)]
+        axes = [[t * r % d * s for r in range(d)] for d, s in zip(self.invariant_factors, self.strides)]
+        indices, *rest = axes or [[0]]  # the trivial group: [0]
+        for axis in rest:
             indices = [i + a for i in indices for a in axis]
         return indices
 
@@ -195,8 +199,8 @@ def _check_multiplier(t) -> None:
 def _is_prime(m: int) -> bool:
     """Whether m is prime, by Miller-Rabin on ``_MR_BASES``.  That proves
     primality only below 3317044064679887385961981, the least composite
-    passing every base, so a number at or above it that passes raises
-    ``FactorizationError`` instead."""
+    passing every base, so a number at or above it that passes must also
+    pass ``_lucas_proves_prime``."""
     if m < 2:
         return False
     for p in _MR_BASES:
@@ -217,9 +221,31 @@ def _is_prime(m: int) -> bool:
                 break
         else:
             return False
-    if m >= 3317044064679887385961981:
-        raise FactorizationError(f"order too large to factor: cofactor {m} is not proven prime")
-    return True
+    return m < 3317044064679887385961981 or _lucas_proves_prime(m)
+
+
+def _lucas_proves_prime(m: int) -> bool:
+    """True when the Lucas test proves m prime; otherwise raise
+    ``FactorizationError``.
+
+    m is prime when every prime q dividing m - 1 has a witness a, with
+    a^(m-1) = 1 and a^((m-1)/q) != 1 mod m: the order of a then holds q's
+    full power in m - 1, so m - 1 divides the order of the unit group and
+    no composite m has m - 1 units.  m - 1 is split by ``factorize``
+    itself, and the bases tried are 2 to ``_LUCAS_BASES - 1``.  A base with
+    a^(m-1) != 1 proves m composite, and then no witness can turn up.
+    """
+    try:
+        open_primes = list(factorize(m - 1))
+    except FactorizationError as exc:
+        raise FactorizationError(f"order too large to factor: cofactor {m} is not proven prime") from exc
+    for a in range(2, _LUCAS_BASES):
+        if pow(a, m - 1, m) != 1:
+            break
+        open_primes = [q for q in open_primes if pow(a, (m - 1) // q, m) == 1]
+        if not open_primes:
+            return True
+    raise FactorizationError(f"order too large to factor: cofactor {m} is not proven prime")
 
 
 def _pollard_rho(m: int, seed: int) -> int:
@@ -244,11 +270,13 @@ def factorize(m: int) -> dict[int, int]:
 
     Trial division runs up to 10**6.  A remaining cofactor is accepted
     outright when a deterministic Miller-Rabin test proves it prime, which
-    it can below about 3.3e24.  A composite cofactor is attacked with
-    Pollard rho only while it is at most 10**24 (its smallest prime factor
-    is then at most 10**12, which rho digs out in about 10**6 steps).
-    Anything larger, and a cofactor the test passes but cannot prove prime,
-    is rejected explicitly instead of factoring for an unbounded time.
+    it can below about 3.3e24; above that a cofactor the test passes is
+    proven prime by the Lucas test, with m - 1 factored by this function.
+    A composite cofactor is attacked with Pollard rho only while it is at
+    most 10**24 (its smallest prime factor is then at most 10**12, which
+    rho digs out in about 10**6 steps).  Anything larger, and a cofactor
+    the tests pass but cannot prove prime, is rejected explicitly instead
+    of factoring for an unbounded time.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"cannot factor {m!r}: not an int >= 1")

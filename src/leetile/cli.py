@@ -199,16 +199,19 @@ def _cmd_search(args) -> int:
         groups = enumerate_groups(radius2_group_order(args.n))
     outcomes = [search_group(g, args.n, options) for g in groups]
     data = {"n": args.n, "outcomes": [o.to_dict() for o in outcomes]}
-    lines = []
+    _emit(data, args.json, _search_lines(outcomes))
+    return EXIT_OK
+
+
+def _search_lines(outcomes):
+    """The text lines of ``search``, made only when they are printed."""
     for o in outcomes:
-        lines.append(
+        yield (
             f"{o.group.spec_string()}: {len(o.solutions)} solution(s), "
             f"{o.nodes_explored} nodes, {'exhausted' if o.exhausted else 'budget hit'}"
         )
         for sol in o.solutions:
-            lines.append("  " + ";".join(",".join(str(r) for r in g) for g in sol))
-    _emit(data, args.json, lines)
-    return EXIT_OK
+            yield "  " + ";".join(",".join(str(r) for r in g) for g in sol)
 
 
 def _certificate_lines(cert) -> list[str]:

@@ -74,9 +74,22 @@ pair g small:
   it covers every later one, as each child's set contains ``blocked``.
   Below the top level every free pair lies in the level below, so only
   its last open pair can be free from there on; a top-level free pair
-  past the level below has an empty child.  So the rest of a node is its
-  candidate pairs, plus, when that last open pair is free, the pairs of
-  the level below after it: no loop.
+  past the level below has an empty child.  So a node tries only its free
+  pairs before that last open pair (its head), and the rest of the node
+  is its candidate pairs, plus, when that last open pair is free, the
+  pairs of the level below after it (its tail): no loop.  The parent
+  works out a child's head and tail as soon as the child's blocked set
+  survives both stages.  Each level holds one pair more than the level
+  above it, so the last open pair of the child's level below is that
+  extra pair when it is open, which is none of the child's pairs (head:
+  every free pair, tail: 0), and otherwise the child's last free pair.
+  A child with an empty head, whose one free pair is that last open
+  pair, is counted there, its pairs plus its tail, and never entered.
+  In the reduced Z113 search that is 1372 of the 4075 nodes with two or
+  more pairs left (1300 of 3222 at three, all 42 at two), and 25222 of
+  57887 at Z145 (n = 8).  A leaf, whose free pairs are solutions, is
+  always entered, and the top node's head is worked out once; nothing of
+  the level below it is blocked, so its tail is 0.
 - The translations and the node counting are written out in the loop,
   not called, and the budget is checked only before a child is entered,
   at each solution and at the end of a node.  The and-not of a pair set x
@@ -85,11 +98,14 @@ pair g small:
   Z113 widths the first takes about 30% less time.
 
 Node counts do not depend on where these cuts fall: a blocked child is
-counted by popcount whichever part of the set blocked it, and entering a
-child whose pairs are all blocked would count the same pairs.  Between
-two solutions the counts only add, so a popcount in place of a walk, or a
-check made later, cuts the budget where the pair-by-pair walk would: the
-search stops with the same solutions and reports the budget as its count.
+counted by popcount whichever part of the set blocked it, entering a
+child whose pairs are all blocked would count the same pairs, and a
+child with an empty head, counted by its parent, would count its pairs
+and its tail.  Between two solutions the counts only add, so a popcount
+in place of a walk, or a check made later (the next one comes before an
+entered child, at a solution or at the end of a node), cuts the budget
+where the pair-by-pair walk would: the search stops with the same
+solutions and reports the budget as its count.
 
 Sets of elements are Python ints used as bitsets, and each recursion
 level passes fresh ints down with nothing to undo.  The layout is padded:
@@ -252,7 +268,6 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         )
     if group.order > _MAX_ORDER:
         raise LeeTileError(f"group order {group.order} too large for the search (max {_MAX_ORDER})")
-    elems = list(group.elements())
     m = group.order
     pos, twice, thrice = _layout(group)
     index = dict(zip(pos, range(m)))
@@ -292,6 +307,13 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     # pairs still to place, all but the last r - 1; the top level does not
     # stop early, which the node counts depend on
     room = [0] + [every & ((2 << reps[-r]) - 1) for r in range(1, n)]
+    # levels[r], for a node with r >= 2 pairs to place: its children's
+    # level, the level below theirs, the one pair that level has beyond
+    # theirs (both 0 when the children are leaves), and whether the node
+    # runs the C+-g pretest, the only level where it stops enough children
+    levels = [None, None] + [
+        (room[r - 1], room[r - 2], room[r - 2] & ~room[r - 1], r == 3) for r in range(2, n + 1)
+    ]
 
     # a pair-by-pair walk stops at the first whole count >= node_budget; the
     # counts below raise _Abort once past it, and the counter is cut back
@@ -300,16 +322,18 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     found: list[int] = []  # the arm set of each solution, in three copies
 
     # ``arms`` holds three copies, ``halves`` and ``covered`` two, ``cand``
-    # and ``free`` (``cand & ~blocked``, from the parent) the real positions;
-    # ``covered`` and ``blocked`` may carry bits outside those regions, which
-    # no shift moves into them and every use of ``blocked`` clears by ANDing
-    # it with a set of pairs
-    def place(cand, free, remaining: int, arms: int, halves: int, covered: int, blocked: int):
+    # and ``head`` the real positions; ``covered`` and ``blocked`` may carry
+    # bits outside those regions, which no shift moves into them and every
+    # use of ``blocked`` clears by ANDing it with a set of pairs.  ``head``
+    # is the free pairs the node tries and ``tail`` what it counts after its
+    # candidates, both from its parent; at a leaf they are every free pair
+    # and 0.
+    def place(cand, head, tail, remaining: int, arms: int, halves: int, covered: int, blocked: int):
         nonlocal nodes
         if remaining == 1:  # each free pair completes an arm set
-            while free:
-                low = free & -free
-                free ^= low
+            while head:
+                low = head & -head
+                head ^= low
                 passed = cand & ((low << 1) - 1)  # the blocked pairs before g, and g
                 cand ^= passed
                 nodes += passed.bit_count()
@@ -321,13 +345,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
             if nodes > budget:
                 raise _Abort
             return
-        below = room[remaining - 1]
-        # The child of g holds the pairs of ``below`` after g, so from the
-        # last open pair of ``below`` (bit ``last - 1``) on every child is
-        # blocked already, and of those pairs only that one can be free.
-        last = (below ^ (below & blocked)).bit_length()
-        head = free & ((1 << last) - 1) >> 1
-        pretest = remaining == 3  # the only level where it stops enough children
+        below, beyond, extra, pretest = levels[remaining]
         while head:
             low = head & -head
             head ^= low
@@ -347,6 +365,19 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                 blk |= halves >> shift_hg | halves >> shift_hng
                 opened ^= opened & blk
                 if opened:
+                    # The child's head and tail.  The last open pair of
+                    # ``beyond`` is ``extra`` when that is open, and no
+                    # pair of the child, so the child tries every free
+                    # pair; otherwise it is the child's last free pair.
+                    if blk & extra:
+                        last = opened.bit_length()
+                        child_tail = (beyond >> last).bit_count()
+                        opened ^= 1 << last - 1
+                        if not opened:  # no pair to try: counted, not entered
+                            nodes += child.bit_count() + child_tail
+                            continue
+                    else:
+                        child_tail = 0
                     # counts only add until a child is entered, so the
                     # budget is checked here, with every pair up to g
                     # now counted
@@ -355,22 +386,23 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
                     cand = rest
                     if nodes > budget:
                         raise _Abort
-                    place(child, opened, remaining - 1, arms | pair, halves | halves_g, cov, blk)
+                    place(child, opened, child_tail, remaining - 1, arms | pair, halves | halves_g, cov, blk)
                     continue
             nodes += child.bit_count()  # every pair of the child is blocked
-        # the rest of the node by popcount: its pairs, and the blocked child
-        # of the last open pair if free (no pair is free when last == 0)
-        nodes += cand.bit_count()
-        if last and free >> last - 1 & 1:
-            nodes += (below >> last).bit_count()
+        # the rest of the node by popcount: its pairs, and its tail
+        nodes += cand.bit_count() + tail
         if nodes > budget:
             raise _Abort
 
     exhausted = True
     try:
         # the identity (index 0) is always an arm and its own half; it
-        # blocks only itself
-        place(top, top, n, thrice, twice, 0, 1)
+        # blocks only itself.  So at the top every pair of the level below
+        # is open: its last pair's child is empty and the top tail is 0.
+        head = top
+        if n > 1:
+            head &= (1 << room[n - 1].bit_length() - 1) - 1
+        place(top, head, 0, n, thrice, twice, 0, 1)
     except _Abort:
         nodes, exhausted = budget, False
 
@@ -379,7 +411,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         indices = tuple(i for i, p in enumerate(pos) if arms >> p & 1)
         if reduce_orbits and not _orbit_minimal(group, indices):
             continue
-        solutions.append(tuple(elems[i] for i in indices))
+        solutions.append(tuple(map(group.element_at, indices)))
     solutions.sort()
 
     for sol in solutions:

@@ -20,6 +20,8 @@ from leetile import (
     smith_normal_form,
 )
 
+from leetile.abelian_groups import _MR_BASES
+
 from conftest import det, kernel_columns, random_arms, scrambled
 from oracles import project
 
@@ -324,8 +326,43 @@ def test_factorize_strong_pseudoprimes():
     assert sympy.factorint(split) == {399165290221: 1, 798330580441: 1}
     assert factorize(split) == {399165290221: 1, 798330580441: 1}
     assert sympy.factorint(unproven) == {1287836182261: 1, 2575672364521: 1}
+    assert all(_strong_probable_prime(unproven, a) for a in _MR_BASES)
     with pytest.raises(FactorizationError, match="not proven prime"):
         factorize(unproven)
+
+
+def _strong_probable_prime(m, a):
+    """Whether odd m passes the Miller-Rabin round for base a."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    return x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        10**25 + 13,  # m - 1 = 2^2 * 11 * 23 * 9881422924901185770751
+        2**89 - 1,
+        2**127 - 1,
+        10**30 + 57,  # m - 1 needs Pollard rho
+    ],
+    ids=["1e25+13", "M89", "M127", "1e30+57"],
+)
+def test_factorize_proves_primes_above_the_miller_rabin_bound(m):
+    assert m >= 3317044064679887385961981 and sympy.isprime(m)
+    assert factorize(m) == {m: 1}
+    assert factorize(2 * m) == {2: 1, m: 1}
+
+
+def test_factorize_refuses_a_prime_whose_predecessor_it_cannot_factor():
+    # 10^40 + 121 is prime, but m - 1 leaves a composite cofactor above
+    # (10**6)**4, so the Lucas test has no factorization to work on
+    m = 10**40 + 121
+    assert sympy.isprime(m)
+    with pytest.raises(FactorizationError, match="not proven prime"):
+        factorize(m)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,12 @@ def test_order_not_proven_prime_exits_2(capsys, argv):
     assert "not proven prime" in err
 
 
+def test_prime_order_above_the_miller_rabin_bound_is_listed(capsys):
+    # the Lucas test proves it prime, with m - 1 = 2^2 * 11 * 23 * 9881422924901185770751
+    code, out, _ = run(capsys, ["groups", "--order", "10000000000000000000000013"])
+    assert (code, out) == (0, "Z10000000000000000000000013\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

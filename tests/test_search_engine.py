@@ -404,6 +404,20 @@ def test_matches_reference_under_sampled_budgets():
         _assert_matches_reference(group, 6, SearchOptions(node_budget=budget))
 
 
+# Budgets of the reduced Z85 search (n = 6) inside the counts a parent adds
+# for a child it does not enter (a child whose one free pair is the last open
+# pair of its level below): the child's first pair, its last pair and the
+# last pair of its tail, for every 30th of its 345 such children and the last
+# eight.  The budgets from 30987 up, the count without those tails, also
+# catch an engine that loses a tail.
+_UNENTERED_Z85 = [
+    200, 223, 233, 2847, 2855, 5529, 5537, 5543, 9194, 9216, 9235, 13296, 13304, 16723, 16726, 19201,
+    19207, 19213, 22125, 22130, 22134, 25764, 25767, 25770, 28996, 29001, 29004, 30429, 30439, 30440,
+    32295, 32296, 32853, 32856, 32935, 32937, 33024, 33025, 33026, 33050, 33051, 33052, 33065, 33066,
+    33067, 33069, 33074, 33075, 33077,
+]
+
+
 # Budgets that cut the engine where it counts a child without a call, the
 # pairs before an entered child, and the popcount tail of a node.  Every
 # budget of the reduced Z41 search, fixed-seed samples of the
@@ -414,13 +428,14 @@ CUT_CASES = [
     pytest.param(4, (41,), True, range(318), id="n4-Z41-every"),
     pytest.param(4, (41,), False, random.Random(41).sample(range(1960), 200), id="n4-Z41-noreduce"),
     pytest.param(
-        5, (61,), True, [0, 1, 2153, 2154] + random.Random(61).sample(range(2, 2153), 200), id="n5-Z61",
+    5, (61,), True, [0, 1, 2153, 2154] + random.Random(61).sample(range(2, 2153), 200), id="n5-Z61",
     ),
     pytest.param(5, (61,), False, random.Random(17440).sample(range(17441), 50), id="n5-Z61-noreduce"),
     pytest.param(
-        7, (113,), True, [0, 1, 145186, 145187] + random.Random(113).sample(range(2, 145186), 12),
+    7, (113,), True, [0, 1, 145186, 145187] + random.Random(113).sample(range(2, 145186), 12),
         id="n7-Z113",
     ),
+    pytest.param(6, (85,), True, _UNENTERED_Z85, id="n6-Z85-unentered"),
 ]
 
 
