@@ -35,7 +35,6 @@ from .profiles import (
     profile,
 )
 from .search_engine import (
-    SearchOptions,
     SearchOutcome,
     search_all,
     search_group,
@@ -64,7 +63,6 @@ __all__ = [
     "NonexistenceCertificate",
     "PredictedProfile",
     "RejectedCandidateError",
-    "SearchOptions",
     "SearchOutcome",
     "SingularMatrixError",
     "TilingCandidate",

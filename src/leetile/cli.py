@@ -25,11 +25,11 @@ from .abelian_groups import AbelianGroup, LatticeBasis, enumerate_groups
 from .certify import _JSON_CHUNK, _certificate_json
 from .certify import certify as _certify
 from .certify import certify_range as _certify_range
-from .errors import LeeTileError
+from .errors import LeeTileError, RejectedCandidateError
 from .lee_geometry import sphere_size, walk_sphere
 from .profiles import check_identities_k2, check_identities_k4, profile
-from .search_engine import SearchOptions, search_group
-from .tiling_core import TilingCandidate, check_conditions, radius2_group_order, verify_lattice
+from .search_engine import search_group
+from .tiling_core import TilingCandidate, VerificationReport, check_conditions, radius2_group_order, verify_lattice
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -157,16 +157,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     candidate = _candidate(args)
-    report = check_conditions(candidate)
-    if not report.accepted:
+    try:
+        prof = profile(candidate, args.k)
+    except RejectedCandidateError as exc:
         _emit(
-            {"verification": report.to_dict()},
+            {"verification": exc.report.to_dict()},
             args.json,
-            ["candidate rejected, no profile computed"] + _report_lines(report),
+            ["candidate rejected, no profile computed"] + _report_lines(exc.report),
         )
         return EXIT_REJECT
-    prof = profile(candidate, args.k)
-    data = {"verification": report.to_dict(), "profile": prof.to_dict()}
+    data = {"verification": VerificationReport(accepted=True).to_dict(), "profile": prof.to_dict()}
     lines = [f"profile of the power-{args.k} product over {candidate.group.spec_string()}"]
     lines.extend(
         f"  multiplicity {i}: {c} elements" for i, c in sorted(prof.histogram.items())
@@ -189,16 +189,15 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    options = SearchOptions(
-        use_automorphism_reduction=not args.no_reduction,
-        node_budget=args.budget,
-    )
     if args.group is not None:
         groups = [AbelianGroup.from_spec(args.group)]
     else:
         groups = enumerate_groups(radius2_group_order(args.n))
-    outcomes = [search_group(g, args.n, options) for g in groups]
-    data = {"n": args.n, "outcomes": [o.to_dict() for o in outcomes]}
+    outcomes = [
+        search_group(g, args.n, use_automorphism_reduction=not args.no_reduction, node_budget=args.budget)
+        for g in groups
+    ]
+    data = {"n": args.n, "outcomes": [o.to_dict() for o in outcomes]} if args.json else None
     _emit(data, args.json, _search_lines(outcomes))
     return EXIT_OK
 

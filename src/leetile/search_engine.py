@@ -159,26 +159,6 @@ _MAX_ORDER = 1 << 14
 
 
 @dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for ``search_group``/``search_all``.
-
-    Automorphism reduction applies to cyclic groups only (multiplication by
-    units); for other groups the flag is ignored.  ``node_budget`` caps
-    explored nodes; subtrees are always traversed in canonical order, so
-    the cut-off point is deterministic.
-    """
-
-    use_automorphism_reduction: bool = True
-    node_budget: Optional[int] = None
-
-    def __post_init__(self):
-        budget = self.node_budget
-        # written so that NaN fails too
-        if budget is not None and not 0 <= budget < math.inf:
-            raise ValueError(f"node_budget must be a finite number >= 0, got {budget!r}")
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """Solutions found in one group, with the explored-node counter.
 
@@ -247,9 +227,17 @@ def _check_dimension(n) -> None:
         raise ValueError(f"dimension n must be an int >= 1, got {n!r}")
 
 
-def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] = None) -> SearchOutcome:
+def search_group(
+    group: AbelianGroup, n: int, *, use_automorphism_reduction: bool = True, node_budget: Optional[int] = None
+) -> SearchOutcome:
     """Every arm set over ``group`` passing the radius-2 verifier, up to
     unit-multiplication reduction when enabled and the group is cyclic.
+
+    ``use_automorphism_reduction`` applies to cyclic groups only
+    (multiplication by units); for other groups it is ignored.
+    ``node_budget`` caps explored nodes, a non-int budget rounded up;
+    subtrees are always traversed in canonical order, so the cut-off point
+    is deterministic.
 
     Deterministic: elements are ordered lexicographically, pairs by their
     smaller member, and solutions are reported in canonical sorted order
@@ -257,12 +245,14 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     counted per attempted pair; a pair skipped because it is blocked still
     counts.
     """
-    opts = options or SearchOptions()
+    # written so that NaN fails too
+    if node_budget is not None and not 0 <= node_budget < math.inf:
+        raise ValueError(f"node_budget must be a finite number >= 0, got {node_budget!r}")
     _check_dimension(n)
     expected = radius2_group_order(n)
     if group.order != expected:
         raise ValueError(f"group order {group.order} != {expected} = 2n^2+2n+1 for n={n}")
-    if n >= _BUDGET_REQUIRED_FROM and opts.node_budget is None:
+    if n >= _BUDGET_REQUIRED_FROM and node_budget is None:
         raise ValueError(
             f"an explicit node_budget is required for n >= {_BUDGET_REQUIRED_FROM}"
         )
@@ -298,7 +288,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
         )
         return e
 
-    reduce_orbits = opts.use_automorphism_reduction and group.is_cyclic() and m > 1
+    reduce_orbits = use_automorphism_reduction and group.is_cyclic() and m > 1
     # Under unit multiplication the orbit of r in Z_m is every element with
     # the same gcd with m, so only r == gcd(r, m) may be the first pair
     # (a cyclic group's positions are its element indices).
@@ -317,7 +307,7 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
 
     # a pair-by-pair walk stops at the first whole count >= node_budget; the
     # counts below raise _Abort once past it, and the counter is cut back
-    budget = math.inf if opts.node_budget is None else math.ceil(opts.node_budget)
+    budget = math.inf if node_budget is None else math.ceil(node_budget)
     nodes = 0
     found: list[int] = []  # the arm set of each solution, in three copies
 
@@ -429,9 +419,13 @@ def search_group(group: AbelianGroup, n: int, options: Optional[SearchOptions] =
     )
 
 
-def search_all(n: int, options: Optional[SearchOptions] = None) -> list[SearchOutcome]:
-    """Run the search over every isomorphism class of abelian groups of
-    order 2n^2 + 2n + 1, one outcome per class in canonical group order."""
+def search_all(
+    n: int, *, use_automorphism_reduction: bool = True, node_budget: Optional[int] = None
+) -> list[SearchOutcome]:
+    """Run ``search_group`` over every isomorphism class of abelian groups
+    of order 2n^2 + 2n + 1, one outcome per class in canonical group order."""
     _check_dimension(n)
-    order = radius2_group_order(n)
-    return [search_group(g, n, options) for g in enumerate_groups(order)]
+    return [
+        search_group(g, n, use_automorphism_reduction=use_automorphism_reduction, node_budget=node_budget)
+        for g in enumerate_groups(radius2_group_order(n))
+    ]

@@ -10,7 +10,6 @@ from leetile import (
     AbelianGroup,
     ArmCollisionError,
     LatticeBasis,
-    SearchOptions,
     TilingCandidate,
     certify,
     certify_range,
@@ -153,23 +152,23 @@ def test_criterion_5_predicted_profile_consistency():
 
 def test_criterion_6_search_reproduces_small_dimensions():
     with criterion(6, "search: solutions at n = 1, 2; empty for n = 3..6; brute force agrees for n <= 3", 300.0):
-        plain = SearchOptions(use_automorphism_reduction=False)
+        plain = {"use_automorphism_reduction": False}
         for n, expected_count in ((1, 2), (2, 3)):
-            outcomes = search_all(n, plain)
+            outcomes = search_all(n, **plain)
             assert len(outcomes) == 1
             assert outcomes[0].exhausted
             assert len(outcomes[0].solutions) == expected_count
             for sol in outcomes[0].solutions:
                 assert check_conditions(TilingCandidate(outcomes[0].group, n, sol)).accepted
         for n in (3, 4, 5, 6):
-            outcomes = search_all(n, plain)
+            outcomes = search_all(n, **plain)
             assert len(outcomes) == len(enumerate_groups(2 * n * n + 2 * n + 1))
             for o in outcomes:
                 assert o.exhausted
                 assert o.solutions == ()
         for n in (1, 2, 3):
             for group in enumerate_groups(2 * n * n + 2 * n + 1):
-                assert search_group(group, n, plain).solutions == brute_force_search(group, n)
+                assert search_group(group, n, **plain).solutions == brute_force_search(group, n)
 
 
 def test_criterion_7_certification_totality():

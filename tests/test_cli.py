@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import leetile
-from leetile import cli
+from leetile import SearchOutcome, check_conditions, cli, profiles
 from leetile.certify import certify_range
 from leetile.cli import build_parser, main
 from leetile.lee_geometry import sphere_points, sphere_size
@@ -247,6 +247,38 @@ def test_profile_rejected_candidate(capsys):
         capsys, ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;2;11", "--k", "2"]
     )
     assert code == 1
+    assert out.splitlines() == [
+        "candidate rejected, no profile computed",
+        "reject",
+        "failed condition: quadratic-identity",
+        "witness: {'element': [1], 'expected': 2, 'actual': 4}",
+    ]
+    code, data = run_json(
+        capsys, ["profile", "--group", "Z13", "--n", "2", "--t", "0;1;12;2;11", "--k", "2"]
+    )
+    assert code == 1
+    assert data == {
+        "verification": {
+            "verdict": "reject",
+            "failed_condition": "quadratic-identity",
+            "witness": {"element": [1], "expected": 2, "actual": 4},
+        }
+    }
+
+
+@pytest.mark.parametrize("arms, expected", [("0;1;12;5;8", 0), ("0;1;12;2;11", 1)], ids=["accept", "reject"])
+def test_profile_verifies_once(capsys, monkeypatch, arms, expected):
+    calls = []
+
+    def counted(candidate):
+        calls.append(candidate)
+        return check_conditions(candidate)
+
+    for module in (cli, profiles):
+        monkeypatch.setattr(module, "check_conditions", counted)
+    code, _, _ = run(capsys, ["profile", "--group", "Z13", "--n", "2", "--t", arms, "--k", "2"])
+    assert code == expected
+    assert len(calls) == 1
 
 
 def test_search_json(capsys):
@@ -272,6 +304,25 @@ def test_search_text_and_json_agree(capsys):
     assert "Z13: 1 solution(s)" in out
     assert "0;1;5;8;12" in out
     assert len(data["outcomes"][0]["solutions"]) == 1
+
+
+def test_search_text_builds_no_json(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("to_dict called without --json")
+
+    monkeypatch.setattr(SearchOutcome, "to_dict", refuse)
+    code, out, err = run(capsys, ["search", "--n", "3"])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "Z25: 0 solution(s), 69 nodes, exhausted",
+        "Z5xZ5: 0 solution(s), 267 nodes, exhausted",
+    ]
+
+
+def test_search_negative_budget(capsys):
+    code, out, err = run(capsys, ["search", "--n", "2", "--budget", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: node_budget must be a finite number >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -15,6 +15,7 @@ UNEXPORTED = (
     "GroupMismatchError",
     "GroupRingElement",
     "LeeSphereSpec",
+    "SearchOptions",
     "brute_force_search",
     "lee_distance",
     "pair_multiplicity",

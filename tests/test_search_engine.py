@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import math
 import random
 import re
@@ -7,7 +7,6 @@ import pytest
 
 from leetile import (
     AbelianGroup,
-    SearchOptions,
     check_conditions,
     TilingCandidate,
     LeeTileError,
@@ -22,7 +21,7 @@ from oracles import brute_force_search
 Z5 = AbelianGroup((5,))
 Z13 = AbelianGroup((13,))
 
-NO_REDUCTION = SearchOptions(use_automorphism_reduction=False)
+NO_REDUCTION = {"use_automorphism_reduction": False}
 
 Z5_SOLUTIONS = (((0,), (1,), (4,)), ((0,), (2,), (3,)))
 Z13_SOLUTIONS = (
@@ -33,28 +32,28 @@ Z13_SOLUTIONS = (
 
 
 def test_z5_unreduced():
-    outcome = search_group(Z5, 1, NO_REDUCTION)
+    outcome = search_group(Z5, 1, **NO_REDUCTION)
     assert outcome.solutions == Z5_SOLUTIONS
     assert outcome.exhausted
 
 
 def test_z5_reduced():
-    outcome = search_group(Z5, 1, SearchOptions(use_automorphism_reduction=True))
+    outcome = search_group(Z5, 1, use_automorphism_reduction=True)
     assert outcome.solutions == (Z5_SOLUTIONS[0],)
 
 
 def test_z13_unreduced():
-    outcome = search_group(Z13, 2, NO_REDUCTION)
+    outcome = search_group(Z13, 2, **NO_REDUCTION)
     assert outcome.solutions == Z13_SOLUTIONS
 
 
 def test_z13_reduced_single_representative():
-    outcome = search_group(Z13, 2, SearchOptions(use_automorphism_reduction=True))
+    outcome = search_group(Z13, 2, use_automorphism_reduction=True)
     assert outcome.solutions == (Z13_SOLUTIONS[0],)
 
 
 def test_solutions_reverify(candidate_n2):
-    outcome = search_group(Z13, 2, NO_REDUCTION)
+    outcome = search_group(Z13, 2, **NO_REDUCTION)
     for sol in outcome.solutions:
         assert check_conditions(TilingCandidate(Z13, 2, sol)).accepted
     assert candidate_n2.arms in outcome.solutions
@@ -64,7 +63,7 @@ def test_solutions_reverify(candidate_n2):
 def test_pruned_agrees_with_brute_force(n):
     order = 2 * n * n + 2 * n + 1
     for group in enumerate_groups(order):
-        pruned = search_group(group, n, NO_REDUCTION)
+        pruned = search_group(group, n, **NO_REDUCTION)
         assert pruned.solutions == brute_force_search(group, n)
 
 
@@ -85,7 +84,7 @@ def test_non_int_dimension_rejected_naming_the_value(call, value):
 
 def test_empty_for_n3_through_n5():
     for n in (3, 4, 5):
-        outcomes = search_all(n, NO_REDUCTION)
+        outcomes = search_all(n, **NO_REDUCTION)
         assert len(outcomes) == len(enumerate_groups(2 * n * n + 2 * n + 1))
         for o in outcomes:
             assert o.exhausted
@@ -93,28 +92,24 @@ def test_empty_for_n3_through_n5():
 
 
 def test_search_all_n3_covers_both_groups():
-    outcomes = search_all(3, NO_REDUCTION)
+    outcomes = search_all(3, **NO_REDUCTION)
     assert [o.group.invariant_factors for o in outcomes] == [(25,), (5, 5)]
 
 
 def test_deterministic_across_runs():
-    a = search_group(Z13, 2, NO_REDUCTION)
-    b = search_group(Z13, 2, NO_REDUCTION)
+    a = search_group(Z13, 2, **NO_REDUCTION)
+    b = search_group(Z13, 2, **NO_REDUCTION)
     assert a.nodes_explored == b.nodes_explored
     assert a.solutions == b.solutions
 
 
 def test_budget_exhaustion_reported():
-    full = search_group(Z13, 2, NO_REDUCTION)
-    capped = search_group(
-        Z13, 2, SearchOptions(use_automorphism_reduction=False, node_budget=3)
-    )
+    full = search_group(Z13, 2, **NO_REDUCTION)
+    capped = search_group(Z13, 2, use_automorphism_reduction=False, node_budget=3)
     assert not capped.exhausted
     assert capped.nodes_explored == 3
     assert set(capped.solutions) <= set(full.solutions)
-    generous = search_group(
-        Z13, 2, SearchOptions(use_automorphism_reduction=False, node_budget=10**6)
-    )
+    generous = search_group(Z13, 2, use_automorphism_reduction=False, node_budget=10**6)
     assert generous.exhausted
     assert generous.solutions == full.solutions
 
@@ -123,14 +118,14 @@ def test_budget_required_for_large_n():
     group = enumerate_groups(2 * 7 * 7 + 2 * 7 + 1)[0]
     with pytest.raises(ValueError):
         search_group(group, 7)
-    outcome = search_group(group, 7, SearchOptions(node_budget=1000))
+    outcome = search_group(group, 7, node_budget=1000)
     assert not outcome.exhausted
 
 
 def test_n7_exhausts_with_generous_budget():
     # stretch dimension: the reduced search over Z113 completes quickly
     group = enumerate_groups(2 * 7 * 7 + 2 * 7 + 1)[0]
-    outcome = search_group(group, 7, SearchOptions(node_budget=10**7))
+    outcome = search_group(group, 7, node_budget=10**7)
     assert outcome.exhausted
     assert outcome.solutions == ()
     assert outcome.nodes_explored == 145187
@@ -147,26 +142,26 @@ def test_nonpositive_dimension_rejected(n):
         search_group(AbelianGroup(()), n)
 
 
-def test_options_frozen():
-    options = SearchOptions(node_budget=5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        options.node_budget = 6
+# each search given only a node budget, which it checks before anything else
+BUDGETED_SEARCHES = (functools.partial(search_group, Z13, 2), functools.partial(search_all, 2))
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SearchOptions(node_budget=-1)
+def test_negative_budget_rejected():
+    for search in BUDGETED_SEARCHES:
+        with pytest.raises(ValueError, match="-1"):
+            search(node_budget=-1)
 
 
 @pytest.mark.parametrize("budget", [math.inf, -math.inf, math.nan])
 def test_non_finite_budget_rejected(budget):
     # None is the only "no cap"; the value is named in the message
-    with pytest.raises(ValueError, match=repr(budget)):
-        SearchOptions(node_budget=budget)
+    for search in BUDGETED_SEARCHES:
+        with pytest.raises(ValueError, match=repr(budget)):
+            search(node_budget=budget)
 
 
 def test_outcome_to_dict():
-    outcome = search_group(Z13, 2, NO_REDUCTION)
+    outcome = search_group(Z13, 2, **NO_REDUCTION)
     data = outcome.to_dict()
     assert data["group"] == [13] and data["group_spec"] == "Z13" and data["n"] == 2
     assert data["exhausted"] is True
@@ -202,8 +197,7 @@ NODE_COUNTS = [
 
 @pytest.mark.parametrize("reduce, n, factors, nodes", NODE_COUNTS)
 def test_node_counts_pinned(reduce, n, factors, nodes):
-    options = SearchOptions(use_automorphism_reduction=reduce, node_budget=nodes)
-    outcome = search_group(AbelianGroup(factors), n, options)
+    outcome = search_group(AbelianGroup(factors), n, use_automorphism_reduction=reduce, node_budget=nodes)
     assert outcome.exhausted
     assert outcome.nodes_explored == nodes
 
@@ -252,11 +246,11 @@ def test_padded_translation_matches_group_add(group, pairs):
 
 def test_group_order_limit():
     # Z4141 (n = 45) is inside the order limit, Z16745 (n = 91) above it
-    outcome = search_group(AbelianGroup((4141,)), 45, SearchOptions(node_budget=1000))
+    outcome = search_group(AbelianGroup((4141,)), 45, node_budget=1000)
     assert not outcome.exhausted
     assert outcome.nodes_explored == 1000
     with pytest.raises(LeeTileError):
-        search_group(AbelianGroup((16745,)), 91, SearchOptions(node_budget=1))
+        search_group(AbelianGroup((16745,)), 91, node_budget=1)
 
 
 # -- reference oracle -----------------------------------------------------------
@@ -298,7 +292,7 @@ def _translate(bits, steps):
     return bits
 
 
-def reference_search(group, n, options):
+def reference_search(group, n, use_automorphism_reduction=True, node_budget=None):
     """Pair-by-pair oracle for ``search_group``: each candidate pair is
     one node and is tested by translating the arm set by g and -g, the
     packing test of the engine's docstring read literally.  Returns
@@ -314,9 +308,9 @@ def reference_search(group, n, options):
             doubles = (1 << index(group.add(e, e))) | (1 << index(group.add(ne, ne)))
             pairs.append((i, j, doubles, steps(e), steps(ne)))
     m = group.order
-    reduce_orbits = options.use_automorphism_reduction and group.is_cyclic() and m > 1
+    reduce_orbits = use_automorphism_reduction and group.is_cyclic() and m > 1
     top = [k for k, p in enumerate(pairs) if not reduce_orbits or p[0] == math.gcd(p[0], m)]
-    budget = math.inf if options.node_budget is None else options.node_budget
+    budget = math.inf if node_budget is None else node_budget
     nodes = 0
     found = []
 
@@ -357,10 +351,10 @@ def reference_search(group, n, options):
     return tuple(solutions), nodes, exhausted
 
 
-def _assert_matches_reference(group, n, options):
-    outcome = search_group(group, n, options)
+def _assert_matches_reference(group, n, **settings):
+    outcome = search_group(group, n, **settings)
     got = (outcome.solutions, outcome.nodes_explored, outcome.exhausted)
-    assert got == reference_search(group, n, options), (group, n, options)
+    assert got == reference_search(group, n, **settings), (group, n, settings)
     return outcome
 
 
@@ -374,7 +368,7 @@ SMALL_CASES = [
 @pytest.mark.parametrize("reduce", [True, False])
 @pytest.mark.parametrize("n, group", SMALL_CASES)
 def test_matches_reference_exhaustively(n, group, reduce):
-    outcome = _assert_matches_reference(group, n, SearchOptions(use_automorphism_reduction=reduce))
+    outcome = _assert_matches_reference(group, n, use_automorphism_reduction=reduce)
     assert outcome.exhausted
 
 
@@ -382,16 +376,14 @@ def test_matches_reference_exhaustively(n, group, reduce):
 @pytest.mark.parametrize("n, factors", [(1, (5,)), (2, (13,)), (3, (25,)), (3, (5, 5))])
 def test_matches_reference_under_every_budget(n, factors, reduce):
     group = AbelianGroup(factors)
-    _, full, _ = reference_search(group, n, SearchOptions(use_automorphism_reduction=reduce))
+    _, full, _ = reference_search(group, n, use_automorphism_reduction=reduce)
     for budget in range(full + 1):
-        options = SearchOptions(use_automorphism_reduction=reduce, node_budget=budget)
-        _assert_matches_reference(group, n, options)
+        _assert_matches_reference(group, n, use_automorphism_reduction=reduce, node_budget=budget)
 
 
 @pytest.mark.parametrize("budget", [2.0, 2.5, 5.25, True])
 def test_matches_reference_under_a_non_int_budget(budget):
-    options = SearchOptions(use_automorphism_reduction=False, node_budget=budget)
-    outcome = _assert_matches_reference(Z13, 2, options)
+    outcome = _assert_matches_reference(Z13, 2, use_automorphism_reduction=False, node_budget=budget)
     assert type(outcome.nodes_explored) is int
 
 
@@ -401,7 +393,7 @@ def test_matches_reference_under_sampled_budgets():
     group = AbelianGroup((85,))
     budgets = [0, 1, 33082, 33083] + random.Random(85).sample(range(2, 33082), 26)
     for budget in budgets:
-        _assert_matches_reference(group, 6, SearchOptions(node_budget=budget))
+        _assert_matches_reference(group, 6, node_budget=budget)
 
 
 # Budgets of the reduced Z85 search (n = 6) inside the counts a parent adds
@@ -443,7 +435,7 @@ CUT_CASES = [
 def test_matches_reference_where_counting_shortcuts_cut(n, factors, reduce, budgets):
     group = AbelianGroup(factors)
     for budget in budgets:
-        _assert_matches_reference(group, n, SearchOptions(use_automorphism_reduction=reduce, node_budget=budget))
+        _assert_matches_reference(group, n, use_automorphism_reduction=reduce, node_budget=budget)
 
 
 # The non-cyclic groups of the larger dimensions, where the lower-axis
@@ -455,5 +447,5 @@ def test_matches_reference_where_counting_shortcuts_cut(n, factors, reduce, budg
 def test_matches_reference_on_non_cyclic_groups(n, factors):
     group = AbelianGroup(factors)
     for budget in [0, 1] + sorted(random.Random(group.order).sample(range(2, 20001), 10)):
-        outcome = _assert_matches_reference(group, n, SearchOptions(node_budget=budget))
+        outcome = _assert_matches_reference(group, n, node_budget=budget)
         assert not outcome.exhausted

@@ -8,7 +8,6 @@ from leetile import (
     AbelianGroup,
     ArmCollisionError,
     LatticeBasis,
-    SearchOptions,
     TilingCandidate,
     check_conditions,
     enumerate_groups,
@@ -137,7 +136,7 @@ def oracle_candidates():
         for group in enumerate_groups(radius2_group_order(n)):
             cases += [TilingCandidate(group, n, random_symmetric_arms(group, n, rng)) for _ in range(trials)]
     for n in (1, 2):
-        for outcome in search_all(n, SearchOptions(use_automorphism_reduction=False)):
+        for outcome in search_all(n, use_automorphism_reduction=False):
             cases += [TilingCandidate(outcome.group, n, sol) for sol in outcome.solutions]
     for basis, radius in oracle_bases():
         if radius == 2:
