@@ -2,6 +2,9 @@
 isomorphism classes of a given order, and Smith-normal-form quotients of
 integer lattices.
 
+Group specs reach invariant-factor form by gcd and lcm alone (``_chain``);
+only ``enumerate_groups`` factors an order into primes.
+
 Elements are plain tuples of residues, one per invariant factor, each
 reduced into [0, d_i).  The group object carries the arithmetic, the
 lexicographic element index (``strides``) and the carry-free integer codes
@@ -160,14 +163,12 @@ class AbelianGroup:
     @classmethod
     def from_cyclic_orders(cls, orders: Sequence[int]) -> "AbelianGroup":
         """Canonical invariant-factor form of a direct product of cyclic
-        groups of the given orders (in any order, chained or not)."""
-        exps: dict[int, list[int]] = {}
+        groups of the given orders (in any order, chained or not), found by
+        gcd and lcm alone: no order is factored, so any size is taken."""
         for m in orders:
-            if m < 1:
-                raise ValueError(f"cyclic order must be >= 1, got {m}")
-            for p, e in factorize(m).items():
-                exps.setdefault(p, []).append(e)
-        return cls(_assemble_invariant_factors(exps))
+            if type(m) is not int or m < 1:
+                raise ValueError(f"cyclic order {m!r} is not an int >= 1")
+        return cls(_chain(orders))
 
     @classmethod
     def from_spec(cls, text: str) -> "AbelianGroup":
@@ -335,23 +336,19 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _assemble_invariant_factors(exps: dict[int, list[int]]) -> tuple[int, ...]:
-    """Combine per-prime exponent lists into an ascending divisibility
-    chain.  The largest exponents of every prime are aligned into the last
-    factor, the next-largest into the one before, and so on."""
-    if not exps:
-        return ()
-    length = max(len(v) for v in exps.values())
-    padded = {}
-    for p, v in exps.items():
-        asc = sorted(v)
-        padded[p] = [0] * (length - len(asc)) + asc
-    factors = []
-    for j in range(length):
-        d = math.prod(p ** padded[p][j] for p in padded)
-        if d > 1:
-            factors.append(d)
-    return tuple(factors)
+def _chain(orders: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors of Z_{a_1} x ... x Z_{a_k}, for ints a_i >= 1.
+
+    Z_a x Z_b is Z_gcd(a,b) x Z_lcm(a,b), so replacing each pair (a_i, a_j),
+    i < j, by (gcd, lcm) in turn keeps the group, and after i's turn a_i
+    divides every later entry: a divisibility chain, whose leading 1s are
+    dropped."""
+    chain = list(orders)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple([d for d in chain if d > 1])
 
 
 def enumerate_groups(order: int) -> list[AbelianGroup]:
@@ -364,11 +361,9 @@ def enumerate_groups(order: int) -> list[AbelianGroup]:
     if type(order) is not int or order < 1:
         raise ValueError(f"order must be an int >= 1, got {order!r}")
     fac = factorize(order)
-    primes = sorted(fac)
-    choices = [_partitions(fac[p]) for p in primes]
     forms = set()
-    for combo in itertools.product(*choices):
-        forms.add(_assemble_invariant_factors({p: list(part) for p, part in zip(primes, combo)}))
+    for combo in itertools.product(*map(_partitions, fac.values())):
+        forms.add(_chain([p**e for p, part in zip(fac, combo) for e in part]))
     return [AbelianGroup(f) for f in sorted(forms, key=lambda f: (len(f), f))]
 
 

@@ -24,16 +24,17 @@ do no work per dimension above it.
 
 from __future__ import annotations
 
+import copy
 import json
 import reprlib
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian_groups import AbelianGroup
 from .errors import LeeTileError
-from .search_engine import _BUDGET_REQUIRED_FROM, search_all
+from .search_engine import search_all
 from .tiling_core import TilingCandidate, check_conditions
 
 JUSTIFICATION_INEQUALITY = "inequality"
@@ -213,7 +214,7 @@ class NonexistenceCertificate:
 
     n: int
     justification: str
-    search: Optional[dict] = None
+    search: Optional[dict] = field(default=None, hash=False)  # a dict: compared, not hashed
 
     @property
     def residue_tags(self) -> tuple[int, int]:
@@ -293,7 +294,7 @@ class NonexistenceCertificate:
             settled = cls(settled.n, JUSTIFICATION_SEARCH, data["search"])  # only recheck runs the search
         if not _same_json(settled.to_dict(), data):
             raise ValueError(f"certificate for n={settled.n} has fields that do not follow from n")
-        return settled
+        return cls(settled.n, settled.justification, copy.deepcopy(settled.search))  # not the caller's dict
 
 
 def _same_json(a, b) -> bool:
@@ -326,9 +327,10 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
     if n > branch_for(n).threshold:  # so q(n) > 0, as the branch proved when built
         return NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
     if search_fallback:
-        if n >= _BUDGET_REQUIRED_FROM:
-            raise LeeTileError(f"search fallback cannot settle n={n}: search needs a node budget")
-        outcomes = search_all(n)
+        try:
+            outcomes = search_all(n)
+        except ValueError as exc:  # n >= 7 needs a node budget
+            raise LeeTileError(f"search fallback cannot settle n={n}: {exc}") from None
         if all(o.exhausted and not o.solutions for o in outcomes):
             return NonexistenceCertificate(
                 n, JUSTIFICATION_SEARCH, {"outcomes": [o.to_dict() for o in outcomes]}

@@ -4,7 +4,9 @@ Each is the direct definition, with no shortcut: no run path of the
 package calls them, so they live here rather than in ``leetile``.
 """
 
-from itertools import combinations
+import math
+from collections import Counter
+from itertools import combinations, product
 
 from leetile import TilingCandidate, check_conditions, radius2_group_order
 
@@ -25,6 +27,17 @@ def project(group, images, vector):
         if coord:
             acc = group.add(acc, group.scale(img, coord))
     return acc
+
+
+def order_census(orders) -> dict[int, int]:
+    """Number of elements of each order in Z_{a_1} x ... x Z_{a_k}, for
+    ints a_i >= 1, counted element by element: a residue x mod a has order
+    a / gcd(x, a), and a tuple the lcm of its residues' orders.  Two finite
+    abelian groups are isomorphic exactly when their censuses agree."""
+    census = Counter()
+    for g in product(*(range(a) for a in orders)):
+        census[math.lcm(*(a // math.gcd(x, a) for x, a in zip(g, orders)))] += 1
+    return dict(census)
 
 
 def pair_multiplicity(candidate, g) -> int:

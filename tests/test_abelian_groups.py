@@ -14,6 +14,7 @@ from leetile import (
     LatticeBasis,
     SingularMatrixError,
     TilingCandidate,
+    abelian_groups,
     enumerate_groups,
     factorize,
     quotient_map,
@@ -23,7 +24,7 @@ from leetile import (
 from leetile.abelian_groups import _MR_BASES
 
 from conftest import det, kernel_columns, random_arms, scrambled
-from oracles import project
+from oracles import order_census, project
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,12 @@ def test_non_int_input_rejected_not_coerced(make):
         (factorize, True),
         (enumerate_groups, 25.0),
         (enumerate_groups, True),
+        (lambda m: AbelianGroup.from_cyclic_orders([5, m]), 5.0),
+        (lambda m: AbelianGroup.from_cyclic_orders([5, m]), True),
+        (lambda m: AbelianGroup.from_cyclic_orders([5, m]), 0),
     ],
-    ids=["factorize-float", "factorize-bool", "enumerate-float", "enumerate-bool"],
+    ids=["factorize-float", "factorize-bool", "enumerate-float", "enumerate-bool",
+         "cyclic-float", "cyclic-bool", "cyclic-zero"],
 )
 def test_non_int_order_rejected_naming_the_value(call, value):
     with pytest.raises(ValueError, match=re.escape(repr(value))):
@@ -264,17 +269,56 @@ def test_enumerated_groups_are_canonical():
                 assert b % a == 0
 
 
+SPECS = (
+    ("Z13", (13,)),
+    ("Z5xZ5", (5, 5)),
+    ("5,5", (5, 5)),
+    ("3,5", (15,)),  # canonicalized
+    ("Z2xZ18", (2, 18)),
+)
+
+
 def test_spec_string_round_trip():
-    for text, factors in (
-        ("Z13", (13,)),
-        ("Z5xZ5", (5, 5)),
-        ("5,5", (5, 5)),
-        ("3,5", (15,)),  # canonicalized
-        ("Z2xZ18", (2, 18)),
-    ):
+    for text, factors in SPECS:
         g = AbelianGroup.from_spec(text)
         assert g.invariant_factors == factors
         assert AbelianGroup.from_spec(g.spec_string()) == g
+
+
+def test_specs_parse_without_factoring(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(abelian_groups, "factorize", refuse)
+    # a composite that passes Miller-Rabin on every base factorize uses
+    m = 3317044064679887385961981
+    for text, factors in SPECS + ((f"Z{m}", (m,)), (f"{m},6,{m}", (m, 6 * m))):
+        assert AbelianGroup.from_spec(text).invariant_factors == factors
+
+
+def _orders_with_product_at_most(rng, bound):
+    orders = []
+    for _ in range(rng.randint(0, 5)):
+        a = rng.randint(1, min(bound, rng.choice((4, 12, bound))))
+        orders.append(a)
+        bound //= a
+    return orders
+
+
+def test_from_cyclic_orders_matches_the_census_of_the_product():
+    rng = random.Random(32)
+    for _ in range(400):
+        orders = _orders_with_product_at_most(rng, 2000)
+        rng.shuffle(orders)
+        g = AbelianGroup.from_cyclic_orders(orders)
+        assert order_census(g.invariant_factors) == order_census(orders), orders
+
+
+def test_enumerated_groups_have_distinct_censuses():
+    for m in range(1, 513):
+        censuses = [order_census(g.invariant_factors) for g in enumerate_groups(m)]
+        assert all(sum(c.values()) == m for c in censuses), m
+        assert len({tuple(sorted(c.items())) for c in censuses}) == len(censuses), m
 
 
 def test_bad_spec():

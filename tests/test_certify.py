@@ -184,6 +184,24 @@ def test_recheck_rejects_emptied_search():
         NonexistenceCertificate.from_dict(data)
 
 
+def test_search_certificate_keeps_its_own_outcomes():
+    # from_dict copies the search block, so emptying the loaded dict
+    # afterwards leaves the certificate whole
+    cert = certify(3, search_fallback=True)
+    data = json.loads(json.dumps(cert.to_dict()))
+    loaded = NonexistenceCertificate.from_dict(data)
+    data["search"]["outcomes"].clear()
+    assert loaded == cert and loaded.recheck()
+
+
+def test_search_certificate_is_hashable():
+    cert = certify(3, search_fallback=True)
+    assert hash(cert) == hash(certify(3, search_fallback=True))
+    assert len({cert, certify(3, search_fallback=True), certify(3)}) == 2
+    # equality still compares the outcomes
+    assert cert != NonexistenceCertificate(3, JUSTIFICATION_SEARCH, {"outcomes": []})
+
+
 def test_recheck_rejects_any_edited_field():
     cert = certify(16)
     for field, value in [("evaluated_value", 13), ("threshold", 3), ("branch_id", "mod3-0"),
@@ -342,7 +360,8 @@ def test_search_fallback():
 
 def test_search_fallback_gaps_where_search_cannot_finish():
     for n in (13, 14, 17):
-        with pytest.raises(LeeTileError):
+        # the search's own reason: n >= 7 needs a node budget
+        with pytest.raises(LeeTileError, match=f"n={n}: an explicit node_budget is required"):
             certify(n, search_fallback=True)
     summary = certify_range(3, 20, search_fallback=True)
     assert summary.gaps == (13, 14, 17)

@@ -395,19 +395,20 @@ def test_groups_order_too_large_to_factor(capsys):
     assert "too large to factor" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["groups", "--order", "3317044064679887385961981"],
-        ["verify", "--group", "Z3317044064679887385961981", "--n", "2", "--t", "0;1"],
-    ],
-    ids=["groups", "verify-group"],
-)
+@pytest.mark.parametrize("argv", [["groups", "--order", "3317044064679887385961981"]], ids=["groups"])
 def test_order_not_proven_prime_exits_2(capsys, argv):
     # composite, but it passes Miller-Rabin on every base the test uses
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "not proven prime" in err
+
+
+def test_group_spec_of_an_order_factorize_refuses_is_read(capsys):
+    # a spec is canonicalized by gcd and lcm, so the order that ``groups``
+    # cannot factor names a group, of the wrong order for n = 2
+    argv = ["verify", "--group", "Z3317044064679887385961981", "--n", "2", "--t", "0;1", "--json"]
+    code, data = run_json(capsys, argv)
+    assert (code, data["verdict"], data["failed_condition"]) == (1, "reject", "order")
 
 
 def test_prime_order_above_the_miller_rabin_bound_is_listed(capsys):
