@@ -12,9 +12,12 @@ and 4 and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
 existence certificates carrying the explicit constructions.
 
 A certificate stores n, its justification and any search outcomes; every
-other field is derived from n.  ``recheck`` derives it again from n alone
-(re-running a search) and trusts no stored field.  The written polynomial
-and value let a reader re-verify every inequality with a calculator.
+other field is derived from n.  A search certificate exists only at n = 3
+and 4, where the search is quick, so every certificate is a function of n
+and of whether the search fallback was used.  ``recheck`` and both readers
+derive it again from those alone and trust no stored field.  The written
+polynomial and value let a reader re-verify every inequality with a
+calculator.
 
 Above the largest branch threshold, n = 23, the certificate is the
 inequality one, a function of n alone.  So a range summary stores only the
@@ -24,17 +27,16 @@ do no work per dimension above it.
 
 from __future__ import annotations
 
-import copy
 import json
 import reprlib
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .abelian_groups import AbelianGroup
 from .errors import LeeTileError
-from .search_engine import search_all
+from .search_engine import SearchOutcome, search_all
 from .tiling_core import TilingCandidate, check_conditions
 
 JUSTIFICATION_INEQUALITY = "inequality"
@@ -208,13 +210,14 @@ def branch_for(n: int) -> Branch:
 class NonexistenceCertificate:
     """Machine-checkable verdict for one dimension.
 
-    Only ``n``, the justification and, for a search certificate, the search
-    outcomes are stored; every other field is derived from n.
+    Only ``n``, the justification and, for a search certificate, the
+    search outcomes it was built from are stored; every other field is
+    derived from n.
     """
 
     n: int
     justification: str
-    search: Optional[dict] = field(default=None, hash=False)  # a dict: compared, not hashed
+    search: Optional[tuple[SearchOutcome, ...]] = None
 
     @property
     def residue_tags(self) -> tuple[int, int]:
@@ -276,25 +279,28 @@ class NonexistenceCertificate:
             "note": self.note,
             "witness": self.witness,
             "table": {"range": list(TABLE_RANGE), "open_cases": sorted(TABLE_OPEN_CASES)} if table else None,
-            "search": self.search,
+            "search": None if self.search is None else {"outcomes": [o.to_dict() for o in self.search]},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonexistenceCertificate":
-        """Rebuild a certificate from ``n`` and ``search``.
+        """Rebuild a certificate from ``n`` and whether it is a search one.
 
-        Raises ValueError unless ``data`` equals ``to_dict()`` of ``certify(n)``
-        (or, where that is a table certificate, of a search one) in a single
-        comparison down to JSON types.  Only ``recheck`` runs the search.
+        Returns ``certify(n, search_fallback=...)``, the fallback on for a
+        ``"search"`` justification, and raises ValueError unless its
+        ``to_dict()`` equals ``data`` in a single comparison down to JSON
+        types, or unless ``certify`` cannot settle n that way.
         """
         if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
             raise ValueError(f"a certificate needs an int n >= 1, got {reprlib.repr(data)}")
-        settled = certify(data["n"])
-        if settled.justification == JUSTIFICATION_TABLE and isinstance(data.get("search"), dict):
-            settled = cls(settled.n, JUSTIFICATION_SEARCH, data["search"])  # only recheck runs the search
-        if not _same_json(settled.to_dict(), data):
-            raise ValueError(f"certificate for n={settled.n} has fields that do not follow from n")
-        return cls(settled.n, settled.justification, copy.deepcopy(settled.search))  # not the caller's dict
+        n = data["n"]
+        try:
+            cert = certify(n, search_fallback=data.get("justification") == JUSTIFICATION_SEARCH)
+        except LeeTileError as exc:
+            raise ValueError(f"certificate for n={n}: {exc}") from None
+        if not _same_json(cert.to_dict(), data):
+            raise ValueError(f"certificate for n={n} has fields that do not follow from n")
+        return cert
 
 
 def _same_json(a, b) -> bool:
@@ -332,9 +338,7 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
         except ValueError as exc:  # n >= 7 needs a node budget
             raise LeeTileError(f"search fallback cannot settle n={n}: {exc}") from None
         if all(o.exhausted and not o.solutions for o in outcomes):
-            return NonexistenceCertificate(
-                n, JUSTIFICATION_SEARCH, {"outcomes": [o.to_dict() for o in outcomes]}
-            )
+            return NonexistenceCertificate(n, JUSTIFICATION_SEARCH, tuple(outcomes))
         raise LeeTileError(
             f"search fallback for n={n} did not certify (incomplete or found solutions)"
         )
@@ -391,40 +395,34 @@ class CertificationSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertificationSummary":
-        """Rebuild a summary from ``lo``, ``hi`` and its certificates.
+        """Rebuild a summary from ``lo``, ``hi`` and the fallback choice.
 
-        Checks each certificate once, with ``NonexistenceCertificate.from_dict``,
-        and the head once: raises ValueError unless the certificates are for
-        distinct n in [lo, hi] in increasing order and the other keys are
-        exactly ``_head()``, down to JSON types, so ``gaps`` must be the exact
-        complement of the certificates.  A gap above its branch threshold is
-        refused, since ``certify`` settles every such n; a gap at n = 3 or 4
-        only a search could refute, and no reader runs one.  Every n in
-        [lo, hi] needs a certificate or a gap entry, so the work grows with
-        the input, not hi.
+        Returns ``certify_range(lo, hi, search_fallback=...)``, the fallback
+        on when ``data`` has a gap or a search certificate (where neither
+        shows, both settings give the same summary), and raises ValueError
+        unless its head and then each of its certificates, in order, equal
+        those of ``data`` down to JSON types.  Every n in [lo, hi] needs a
+        certificate or a gap entry first, so the work grows with the input,
+        not hi.
         """
         if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
             raise ValueError(f"a summary needs a list of certificates, got {reprlib.repr(data)}")
-        lo, hi = data.get("lo"), data.get("hi")
+        lo, hi, certs, gaps = data.get("lo"), data.get("hi"), data["certificates"], data.get("gaps")
         if type(lo) is not int or type(hi) is not int or not 3 <= lo <= hi:
             raise ValueError(f"a summary needs ints 3 <= lo <= hi, got {reprlib.repr((lo, hi))}")
-        if not isinstance(data.get("gaps"), list) or len(data["certificates"]) + len(data["gaps"]) != hi - lo + 1:
+        if not isinstance(gaps, list) or len(certs) + len(gaps) != hi - lo + 1:
             raise ValueError(f"summary for [{lo}, {hi}] needs one certificate or gap per dimension")
-        ns, low = [lo - 1], []
-        for cert in map(NonexistenceCertificate.from_dict, data["certificates"]):
-            ns.append(cert.n)
-            if cert.n <= _TOP_THRESHOLD:
-                low.append(cert)
-        ns.append(hi + 1)
-        if any(a >= b for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"summary for [{lo}, {hi}] has certificates out of order or outside the range")
-        settled = next((n for a, b in zip(ns, ns[1:]) for n in range(a + 1, b) if n > branch_for(n).threshold), None)
-        if settled is not None:
-            raise ValueError(f"summary for [{lo}, {hi}] has a gap at n={settled}, which certify settles")
-        summary = cls(lo, hi, tuple(low))
+        search_fallback = bool(gaps) or any(
+            isinstance(c, dict) and c.get("justification") == JUSTIFICATION_SEARCH for c in certs
+        )
+        summary = certify_range(lo, hi, search_fallback=search_fallback)
         head = {k: v for k, v in data.items() if k != "certificates"}
         if not _same_json(summary._head(), head):
-            raise ValueError(f"summary for [{lo}, {hi}] has fields that do not follow from its certificates")
+            raise ValueError(f"summary for [{lo}, {hi}] has a head that does not follow from lo and hi")
+        # the heads agree, so there are as many certificates as the summary has
+        for cert, entry in zip(summary.certificates, certs):
+            if not _same_json(cert.to_dict(), entry):
+                raise ValueError(f"summary for [{lo}, {hi}]: certificate for n={cert.n} does not follow from n")
         return summary
 
 

@@ -176,22 +176,36 @@ def test_recheck_rejects_relabelled_existence():
 def test_recheck_rejects_emptied_search():
     data = certify(4, search_fallback=True).to_dict()
     data["search"]["outcomes"] = []
-    # n = 4 may be settled by a search, so the emptied search loads; only
-    # running the search again shows that its outcomes are not the real ones
-    assert not NonexistenceCertificate.from_dict(data).recheck()
+    # the reader runs the search again, so the emptied outcomes do not load
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
+    assert not dataclasses.replace(certify(4, search_fallback=True), search=()).recheck()
     data["n"] = 1
     with pytest.raises(ValueError):
         NonexistenceCertificate.from_dict(data)
 
 
 def test_search_certificate_keeps_its_own_outcomes():
-    # from_dict copies the search block, so emptying the loaded dict
-    # afterwards leaves the certificate whole
+    # from_dict returns the certificate it rebuilt, so emptying the loaded
+    # dict afterwards leaves it whole
     cert = certify(3, search_fallback=True)
     data = json.loads(json.dumps(cert.to_dict()))
     loaded = NonexistenceCertificate.from_dict(data)
     data["search"]["outcomes"].clear()
     assert loaded == cert and loaded.recheck()
+
+
+def test_search_certificate_rejects_an_edited_node_count():
+    data = json.loads(json.dumps(certify(4, search_fallback=True).to_dict()))
+    data["search"]["outcomes"][0]["nodes_explored"] += 1
+    with pytest.raises(ValueError):
+        NonexistenceCertificate.from_dict(data)
+
+
+def test_search_certificate_is_not_changed_through_its_dict():
+    cert = certify(3, search_fallback=True)
+    cert.to_dict()["search"]["outcomes"].clear()
+    assert cert == certify(3, search_fallback=True) and cert.recheck()
 
 
 def test_search_certificate_is_hashable():
@@ -353,9 +367,8 @@ def test_search_fallback():
         assert cert.justification == JUSTIFICATION_SEARCH
         assert cert.recheck()
         assert _round_trip(cert).recheck()
-        outcomes = cert.search["outcomes"]
-        assert all(o["exhausted"] and not o["solutions"] for o in outcomes)
-    assert len(certify(3, search_fallback=True).search["outcomes"]) == 2
+        assert all(o.exhausted and not o.solutions for o in cert.search)
+    assert len(certify(3, search_fallback=True).search) == 2
 
 
 def test_search_fallback_gaps_where_search_cannot_finish():
@@ -416,6 +429,16 @@ assert _CERTS_3_10[2]["n"] == 5 and _CERTS_3_10[2]["evaluated_value"] == 10
         {"lo": 4},
         {"hi": 11},
         {"lo": "3"},
+        {  # n = 3 moved into the gaps, where the table settles it
+            "certificates": _CERTS_3_10[1:],
+            "counts": {JUSTIFICATION_TABLE: 1, JUSTIFICATION_INEQUALITY: 6},
+            "complete": False,
+            "gaps": [3],
+        },
+        {  # a table certificate at 3 beside a search one at 4
+            "certificates": [_CERTS_3_10[0], certify(4, search_fallback=True).to_dict(), *_CERTS_3_10[2:]],
+            "counts": {JUSTIFICATION_TABLE: 1, JUSTIFICATION_SEARCH: 1, JUSTIFICATION_INEQUALITY: 6},
+        },
     ],
 )
 def test_summary_from_dict_rejects_edited_fields(edit):
@@ -501,7 +524,11 @@ def test_summary_from_dict_does_not_build_the_summary_dict(monkeypatch):
     assert CertificationSummary.from_dict(data) == certify_range(3, 3000)
 
 
-_SUMMARY_3_40 = json.loads(json.dumps(certify_range(3, 40).to_dict()))
+_SUMMARIES = (
+    json.loads(json.dumps(certify_range(3, 40).to_dict())),
+    # search certificates at 3 and 4, gaps 13, 14 and 17
+    json.loads(json.dumps(certify_range(3, 20, search_fallback=True).to_dict())),
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -510,16 +537,13 @@ json_values = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    index=st.one_of(st.none(), st.integers(0, len(_SUMMARY_3_40["certificates"]) - 1)),
-    choice=st.data(),
-    value=json_values,
-)
-def test_summary_from_dict_rejects_any_replaced_field(index, choice, value):
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(choice=st.data(), value=json_values)
+def test_summary_from_dict_rejects_any_replaced_field(choice, value):
     """One head field, or one field of one certificate, replaced by any
     other JSON value gives ValueError and no other exception."""
-    data = json.loads(json.dumps(_SUMMARY_3_40))
+    data = json.loads(json.dumps(choice.draw(st.sampled_from(_SUMMARIES))))
+    index = choice.draw(st.one_of(st.none(), st.integers(0, len(data["certificates"]) - 1)))
     target = data if index is None else data["certificates"][index]
     key = choice.draw(st.sampled_from(sorted(k for k in target if k != "certificates")))
     assume(json.dumps(value) != json.dumps(target[key]))
