@@ -8,14 +8,15 @@ threshold, so there the certificate needs no check per dimension: it
 records the contradiction q(n) > 0.  The handful of dimensions at or below
 a threshold are settled by an embedded verdict table for 3 <= n <= 100
 (or, on request, by re-running the exhaustive search, which settles n = 3
-and 4 and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 get
-existence certificates carrying the explicit constructions.
+and 4 and leaves 13, 14 and 17 as gaps).  Dimensions 1 and 2 are settled
+by the same search, always: its first solution is the witness of an
+existence certificate.
 
 A certificate stores n, its justification and any search outcomes; every
-other field is derived from n.  A search certificate exists only at n = 3
-and 4, where the search is quick, so every certificate is a function of n
-and of whether the search fallback was used.  ``recheck`` and both readers
-derive it again from those alone and trust no stored field.  The written
+other field is derived from n.  Search outcomes are stored only at n = 1
+to 4, where the search is quick, so every certificate is a function of n
+and of whether the search fallback was used.  ``recheck`` and both readers derive it again
+from those alone and trust no stored field.  The written
 polynomial and value let a reader re-verify every inequality with a
 calculator.
 
@@ -34,10 +35,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian_groups import AbelianGroup
 from .errors import LeeTileError
 from .search_engine import SearchOutcome, search_all
-from .tiling_core import TilingCandidate, check_conditions
 
 JUSTIFICATION_INEQUALITY = "inequality"
 JUSTIFICATION_TABLE = "table"
@@ -52,12 +51,6 @@ VERDICT_EXISTS = "exists-with-witness"
 # those eight are always settled here by an inequality branch instead.
 TABLE_RANGE = (3, 100)
 TABLE_OPEN_CASES = frozenset({16, 21, 36, 55, 64, 66, 78, 92})
-
-# The two real constructions.
-_WITNESSES = {
-    1: ((5,), ((0,), (1,), (4,))),
-    2: ((13,), ((0,), (1,), (5,), (8,), (12,))),
-}
 
 
 @dataclass(frozen=True)
@@ -210,9 +203,9 @@ def branch_for(n: int) -> Branch:
 class NonexistenceCertificate:
     """Machine-checkable verdict for one dimension.
 
-    Only ``n``, the justification and, for a search certificate, the
-    search outcomes it was built from are stored; every other field is
-    derived from n.
+    Only ``n``, the justification and, for a search or witness
+    certificate, the search outcomes it was built from are stored; every
+    other field is derived from them.
     """
 
     n: int
@@ -225,12 +218,12 @@ class NonexistenceCertificate:
 
     @property
     def verdict(self) -> str:
-        return VERDICT_EXISTS if self.n in _WITNESSES else VERDICT_NONEXISTENT
+        return VERDICT_EXISTS if self.justification == JUSTIFICATION_WITNESS else VERDICT_NONEXISTENT
 
     @property
     def _branch(self) -> Optional[Branch]:
         """The branch covering n; None for n = 1, 2."""
-        return None if self.n in _WITNESSES else branch_for(self.n)
+        return None if self.n < 3 else branch_for(self.n)
 
     branch_id = property(lambda self: getattr(self._branch, "branch_id", None))
     branch_case = property(lambda self: getattr(self._branch, "case", None))
@@ -247,16 +240,18 @@ class NonexistenceCertificate:
 
     @property
     def witness(self) -> Optional[dict]:
-        if self.n not in _WITNESSES:
-            return None
-        factors, arms = _WITNESSES[self.n]
-        group = AbelianGroup(factors)
-        return {"group": list(group.invariant_factors), "group_spec": group.spec_string(),
-                "arms": [list(g) for g in arms], "verified": True}
+        """The first solution of the stored search, which the search has
+        passed through the verifier; None when it found none."""
+        for o in self.search or ():
+            if o.solutions:
+                return {"group": list(o.group.invariant_factors), "group_spec": o.group.spec_string(),
+                        "arms": [list(g) for g in o.solutions[0]], "verified": True}
+        return None
 
     def recheck(self) -> bool:
         """Derive the certificate again from ``n`` alone (re-running the
-        search for a search certificate) and compare it with this one."""
+        search for a search or witness certificate) and compare it with
+        this one."""
         try:
             return certify(self.n, search_fallback=self.justification == JUSTIFICATION_SEARCH) == self
         except (TypeError, ValueError, LeeTileError):  # an invalid n
@@ -264,6 +259,7 @@ class NonexistenceCertificate:
 
     def to_dict(self) -> dict:
         table = self.justification == JUSTIFICATION_TABLE
+        search = self.justification == JUSTIFICATION_SEARCH
         return {
             "n": self.n,
             "residue_tags": list(self.residue_tags),
@@ -279,7 +275,7 @@ class NonexistenceCertificate:
             "note": self.note,
             "witness": self.witness,
             "table": {"range": list(TABLE_RANGE), "open_cases": sorted(TABLE_OPEN_CASES)} if table else None,
-            "search": None if self.search is None else {"outcomes": [o.to_dict() for o in self.search]},
+            "search": {"outcomes": [o.to_dict() for o in self.search]} if search else None,
         }
 
     @classmethod
@@ -315,34 +311,31 @@ def _same_json(a, b) -> bool:
 def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate:
     """Certificate for one dimension.
 
-    n = 1, 2: existence with the explicit construction, re-verified here.
     n >= 3: the branch chosen by (n mod 3, n mod 5); above the branch
     threshold the instantiated inequality is decisive, otherwise the
-    verdict table (or, with ``search_fallback``, a completed exhaustive
-    search) supplies the verdict.
+    verdict table supplies the verdict.  n = 1, 2, and with
+    ``search_fallback`` the n the table would settle: the exhaustive
+    search, whose first solution is an existence witness and which, run
+    to the end in every group with none, certifies nonexistence.
     """
     if type(n) is not int:  # 3.0 or True would otherwise pass for 3 or 1
         raise TypeError(f"dimension must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if n in _WITNESSES:
-        factors, arms = _WITNESSES[n]
-        if not check_conditions(TilingCandidate(AbelianGroup(factors), n, arms)).accepted:
-            raise LeeTileError(f"stored witness for n={n} failed verification")
-        return NonexistenceCertificate(n, JUSTIFICATION_WITNESS)
-    if n > branch_for(n).threshold:  # so q(n) > 0, as the branch proved when built
-        return NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
-    if search_fallback:
-        try:
-            outcomes = search_all(n)
-        except ValueError as exc:  # n >= 7 needs a node budget
-            raise LeeTileError(f"search fallback cannot settle n={n}: {exc}") from None
-        if all(o.exhausted and not o.solutions for o in outcomes):
-            return NonexistenceCertificate(n, JUSTIFICATION_SEARCH, tuple(outcomes))
-        raise LeeTileError(
-            f"search fallback for n={n} did not certify (incomplete or found solutions)"
-        )
-    return NonexistenceCertificate(n, JUSTIFICATION_TABLE)
+    if n >= 3:
+        if n > branch_for(n).threshold:  # so q(n) > 0, as the branch proved when built
+            return NonexistenceCertificate(n, JUSTIFICATION_INEQUALITY)
+        if not search_fallback:
+            return NonexistenceCertificate(n, JUSTIFICATION_TABLE)
+    try:
+        outcomes = tuple(search_all(n))
+    except ValueError as exc:  # n >= 7 needs a node budget
+        raise LeeTileError(f"search fallback cannot settle n={n}: {exc}") from None
+    if any(o.solutions for o in outcomes):
+        return NonexistenceCertificate(n, JUSTIFICATION_WITNESS, outcomes)
+    if all(o.exhausted for o in outcomes):
+        return NonexistenceCertificate(n, JUSTIFICATION_SEARCH, outcomes)
+    raise LeeTileError(f"search fallback for n={n} did not certify (incomplete)")
 
 
 @dataclass(frozen=True)

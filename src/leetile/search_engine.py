@@ -235,7 +235,7 @@ def search_group(
 
     ``use_automorphism_reduction`` applies to cyclic groups only
     (multiplication by units); for other groups it is ignored.
-    ``node_budget`` caps explored nodes, a non-int budget rounded up;
+    ``node_budget``, an int >= 0 or None for no cap, caps explored nodes;
     subtrees are always traversed in canonical order, so the cut-off point
     is deterministic.
 
@@ -245,9 +245,11 @@ def search_group(
     counted per attempted pair; a pair skipped because it is blocked still
     counts.
     """
-    # written so that NaN fails too
-    if node_budget is not None and not 0 <= node_budget < math.inf:
-        raise ValueError(f"node_budget must be a finite number >= 0, got {node_budget!r}")
+    if node_budget is not None:
+        if type(node_budget) is not int:  # 2.5, True or NaN would otherwise pass
+            raise ValueError(f"node_budget must be an int, got {node_budget!r}")
+        if node_budget < 0:
+            raise ValueError(f"node_budget must be a finite number >= 0, got {node_budget!r}")
     _check_dimension(n)
     expected = radius2_group_order(n)
     if group.order != expected:
@@ -307,7 +309,7 @@ def search_group(
 
     # a pair-by-pair walk stops at the first whole count >= node_budget; the
     # counts below raise _Abort once past it, and the counter is cut back
-    budget = math.inf if node_budget is None else math.ceil(node_budget)
+    budget = math.inf if node_budget is None else node_budget
     nodes = 0
     found: list[int] = []  # the arm set of each solution, in three copies
 

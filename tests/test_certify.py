@@ -14,10 +14,13 @@ from leetile import (
     LeeTileError,
     NonexistenceCertificate,
     TilingCandidate,
+    VerificationReport,
     branch_for,
     certify,
     certify_range,
     check_conditions,
+    search_all,
+    search_engine,
 )
 from leetile.certify import (
     _BRANCHES,
@@ -57,6 +60,31 @@ def test_witness_certificates():
         group = AbelianGroup(tuple(cert.witness["group"]))
         arms = tuple(tuple(g) for g in cert.witness["arms"])
         assert check_conditions(TilingCandidate(group, n, arms)).accepted
+
+
+def test_witness_is_the_first_solution_of_the_search():
+    for n in (1, 2):
+        cert = certify(n)
+        assert cert.search == tuple(search_all(n))
+        (outcome,) = cert.search
+        assert cert.witness["group_spec"] == outcome.group.spec_string()
+        assert cert.witness["arms"] == [list(g) for g in outcome.solutions[0]]
+    # a witness certificate built by hand without outcomes has no witness
+    hand_built = NonexistenceCertificate(1, JUSTIFICATION_WITNESS)
+    assert hand_built.witness is None
+    assert hand_built.verdict == VERDICT_EXISTS
+    assert not hand_built.recheck()
+
+
+def test_a_witness_the_verifier_rejects_is_refused(monkeypatch):
+    # the search passes each solution through the verifier it imports
+    monkeypatch.setattr(
+        search_engine, "check_conditions",
+        lambda candidate: VerificationReport(accepted=False, failed_condition="quadratic"),
+    )
+    for n in (1, 2):
+        with pytest.raises(LeeTileError):
+            certify(n)
 
 
 def test_spot_value_n16():

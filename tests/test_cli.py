@@ -319,6 +319,20 @@ def test_search_text_builds_no_json(capsys, monkeypatch):
     ]
 
 
+def test_search_one_group(capsys):
+    code, data = run_json(capsys, ["search", "--n", "3", "--group", "5,5"])
+    assert code == 0
+    (outcome,) = data["outcomes"]
+    assert outcome["group_spec"] == "Z5xZ5"
+    assert (outcome["nodes_explored"], outcome["exhausted"], outcome["solutions"]) == (267, True, [])
+
+
+def test_search_group_of_the_wrong_order(capsys):
+    code, out, err = run(capsys, ["search", "--n", "3", "--group", "Z13"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_search_negative_budget(capsys):
     code, out, err = run(capsys, ["search", "--n", "2", "--budget", "-1"])
     assert (code, out) == (2, "")
@@ -379,6 +393,23 @@ def test_certify_single_search_fallback_gap(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "Z13"],
+        ["verify", "--group", "Z13", "--n", "2"],
+        ["verify", "--group", "Z13", "--t", "0;1;12;5;8"],
+        ["certify"],
+        ["certify", "--n", "3", "--range", "3:10"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_certify_bad_range(capsys):
