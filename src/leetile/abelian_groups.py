@@ -8,13 +8,14 @@ only ``enumerate_groups`` factors an order into primes.
 Elements are plain tuples of residues, one per invariant factor, each
 reduced into [0, d_i).  The group object carries the arithmetic, the
 lexicographic element index (``strides``) and the carry-free integer codes
-(``sum_codes``) that the search, the verifier and the profiles count on;
-``GroupRingElement`` is their reference in the tests.  Integer inputs must
-be ``int`` exactly: a float or a bool is rejected, never coerced.  The
-element operations ``add`` and ``neg`` run once per sphere point in the
-verifier, so they check nothing: they take elements that ``check_element``
-(or the group's own arithmetic) has produced.  ``scale`` and
-``scaled_indices`` check their multiplier.
+(``sum_codes``) that the algebraic verifier and the profiles count on; the
+search keeps its own padded layout (``search_engine._layout``), and
+``GroupRingElement`` is the codes' reference in the tests.  Integer
+inputs must be ``int`` exactly: a float or a bool is rejected, never
+coerced.  The element operations ``add`` and ``neg`` run once per sphere
+point in the verifier, so they check nothing: they take elements that
+``check_element`` (or the group's own arithmetic) has produced.  ``scale``
+and ``scaled_indices`` check their multiplier.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .errors import FactorizationError, SingularMatrixError
 
 GroupElement = tuple[int, ...]
 
-_TRIAL_BOUND = 10**6  # trial division limit; rho handles cofactors up to its 4th power
+_TRIAL_BOUND = 10**6  # trial division limit; rho runs to the end on cofactors up to its 4th power
 _RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofactor
+_SHORT_RHO_STEPS = 1 << 17  # length of the single rho attempt a larger cofactor gets
 
 # Miller-Rabin witness set, the first 13 primes: deterministic below about
 # 3.3e24 (see ``_is_prime``).  Without 41 it is only below about 3.19e23,
@@ -249,21 +251,21 @@ def _lucas_proves_prime(m: int) -> bool:
     raise FactorizationError(f"order too large to factor: cofactor {m} is not proven prime")
 
 
-def _pollard_rho(m: int, seed: int) -> int:
+def _pollard_rho(m: int, seed: int, steps: int | None = None) -> int:
     """Floyd-cycle rho with deterministic parameters; returns a nontrivial
-    factor of composite odd m, or m itself when this seed fails."""
-    x = seed % m
-    y = x
-    c = seed
-    d = 1
-    while d == 1:
-        x = (x * x + c) % m
-        y = (y * y + c) % m
-        y = (y * y + c) % m
+    factor of composite odd m, or m itself when this seed fails or, with
+    ``steps`` given, finds no factor within that many steps."""
+    x = y = seed % m
+    for _ in itertools.count() if steps is None else range(steps):
+        x = (x * x + seed) % m
+        y = (y * y + seed) % m
+        y = (y * y + seed) % m
         if x == y:
             return m
-        d = math.gcd(abs(x - y), m)
-    return d
+        d = math.gcd(x - y, m)
+        if d != 1:
+            return d
+    return m
 
 
 def factorize(m: int) -> dict[int, int]:
@@ -273,11 +275,13 @@ def factorize(m: int) -> dict[int, int]:
     outright when a deterministic Miller-Rabin test proves it prime, which
     it can below about 3.3e24; above that a cofactor the test passes is
     proven prime by the Lucas test, with m - 1 factored by this function.
-    A composite cofactor is attacked with Pollard rho only while it is at
-    most 10**24 (its smallest prime factor is then at most 10**12, which
-    rho digs out in about 10**6 steps).  Anything larger, and a cofactor
-    the tests pass but cannot prove prime, is rejected explicitly instead
-    of factoring for an unbounded time.
+    A composite cofactor of at most 10**24 is split by Pollard rho (its
+    smallest prime factor is then at most 10**12, which rho digs out in
+    about 10**6 steps).  A larger one gets a single rho attempt of 2**17
+    steps, which usually splits off a prime factor below about 10**10.  A
+    cofactor that attempt does not split, and one the tests pass but cannot
+    prove prime, are rejected explicitly instead of factoring for an
+    unbounded time.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"cannot factor {m!r}: not an int >= 1")
@@ -306,10 +310,9 @@ def factorize(m: int) -> dict[int, int]:
         if _is_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
-        if c > _TRIAL_BOUND**4:
-            raise FactorizationError(f"order too large to factor: cofactor {c} exceeds bound {_TRIAL_BOUND}**4")
-        for attempt in range(1, _RHO_ATTEMPTS + 1):
-            d = _pollard_rho(c, attempt)
+        short = c > _TRIAL_BOUND**4  # one attempt of _SHORT_RHO_STEPS, then refused
+        for attempt in range(1, 2 if short else _RHO_ATTEMPTS + 1):
+            d = _pollard_rho(c, attempt, _SHORT_RHO_STEPS if short else None)
             if 1 < d < c:
                 stack.extend((d, c // d))
                 break
@@ -456,17 +459,13 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     that round only fixes the sign.  A singular matrix runs out of nonzero
     pivots and raises SingularMatrixError.
 
-    A ``LatticeBasis`` is taken as it is, its entries having been checked
-    when it was built; any other matrix is checked here.
+    Any matrix that is not a ``LatticeBasis`` is made into one, so the
+    basis is the one place that checks a matrix is square, nonempty and
+    made of ints: a ragged, empty or non-int matrix raises ValueError.
     """
-    if isinstance(matrix, LatticeBasis):
-        rows = matrix.rows
-    else:
-        rows = matrix
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square")
-        if any(type(v) is not int for r in rows for v in r):
-            raise ValueError("matrix entries must be ints")
+    if not isinstance(matrix, LatticeBasis):
+        matrix = LatticeBasis(matrix)
+    rows = matrix.rows
     n = len(rows)
     a = [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
@@ -540,12 +539,12 @@ def smith_normal_form(matrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
             for j, _ in nonzero:
                 pivot_row[j] = -pivot_row[j]
 
-    if n:  # the last round: the pivot alone, and its sign fix
-        last = a[-1]
-        if not last[n - 1]:
-            raise SingularMatrixError("matrix is singular")
-        if last[n - 1] < 0:
-            a[-1] = [-x for x in last]
+    # the last round: the pivot alone, and its sign fix
+    last = a[-1]
+    if not last[n - 1]:
+        raise SingularMatrixError("matrix is singular")
+    if last[n - 1] < 0:
+        a[-1] = [-x for x in last]
     return tuple([tuple(r[:n]) for r in a]), tuple([tuple(r[n:]) for r in a])
 
 

@@ -161,19 +161,16 @@ def _volume_and_quotient(basis: LatticeBasis):
 # Largest m for which a cyclic quotient's cosets are marked in an m-byte
 # _ResidueSet.  It is zero-filled before the walk, which a collision can stop
 # after a few points, so above this size (over 20 times the 45301 points of
-# the r = 150 plane) the residues go into a plain set that grows with the walk.
+# the r = 150 plane) the residues go into a plain dict that grows with the walk.
 _RESIDUE_SET_MAX = 1 << 20
 
 
 class _ResidueSet(bytearray):
-    """A set of the residues mod m held in m bytes, one per residue, where a
-    set of ints takes tens of bytes per member."""
+    """The residues mod m marked in m bytes, one per residue, where a dict
+    of ints takes tens of bytes per member: ``seen[c] = 1`` marks c, and
+    ``c in seen`` reads its byte."""
 
-    def __contains__(self, c):
-        return self[c]
-
-    def add(self, c):
-        self[c] = 1
+    __contains__ = bytearray.__getitem__
 
 
 def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
@@ -185,11 +182,12 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
     the first point whose coset an earlier point holds, so the reported
     collision (if any) is deterministic.  The walk carries the coset of each
     prefix; a point's coset is that coset plus the image of its last set
-    coordinate, looked up in a table built once per call.  Over a cyclic
-    quotient Z_m a coset is a plain residue, added as an int and marked in a
-    bytearray of m bytes, or for m above 2^20 in a set, so that a walk a
-    collision stops early never pays for all m; over any other group it is
-    a residue tuple, kept in a set.
+    coordinate, looked up in a table built once per call.  Every coset met
+    is marked with ``seen[coset] = 1``.  Over a cyclic quotient Z_m a coset
+    is a plain residue, added as an int and marked in a bytearray of m
+    bytes, or for m above 2^20 in a dict, so that a walk a collision stops
+    early never pays for all m; over any other group it is a residue tuple,
+    kept in a dict.
     """
     n = basis.n
     expected = sphere_size(n, radius)
@@ -201,11 +199,11 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
         (m,) = group.invariant_factors
         steps = [[g * v % m for v in span] for (g,) in images]
         add, zero = (lambda a, b: (a + b) % m), 0
-        seen = _ResidueSet(m) if m <= _RESIDUE_SET_MAX else set()
+        seen = _ResidueSet(m) if m <= _RESIDUE_SET_MAX else {}
         as_list = lambda c: [c]
     else:
         steps = [[group.scale(img, v) for v in span] for img in images]
-        add, zero, seen, as_list = group.add, group.identity(), set(), list
+        add, zero, seen, as_list = group.add, group.identity(), {}, list
     for point, coset in walk_sphere(n, radius, steps, add, zero):
         if coset in seen:
             # Only cosets are kept (a point per coset would hold a tuple per
@@ -220,7 +218,7 @@ def verify_lattice(basis: LatticeBasis, radius: int) -> VerificationReport:
                     "coset": as_list(coset),
                 },
             )
-        seen.add(coset)
+        seen[coset] = 1
     return _accept()
 
 

@@ -400,13 +400,16 @@ def test_factorize_proves_primes_above_the_miller_rabin_bound(m):
     assert factorize(2 * m) == {2: 1, m: 1}
 
 
-def test_factorize_refuses_a_prime_whose_predecessor_it_cannot_factor():
-    # 10^40 + 121 is prime, but m - 1 leaves a composite cofactor above
-    # (10**6)**4, so the Lucas test has no factorization to work on
+def test_factorize_proves_a_prime_whose_predecessor_needs_a_short_rho():
+    # m - 1 = 2^3 * 5 * 11 * 17 * 12973 * 1821309023 * 56581485446137975519811:
+    # after trial division its cofactor is above (10**6)**4, and the single
+    # short rho attempt such a cofactor gets splits it for the Lucas test
     m = 10**40 + 121
     assert sympy.isprime(m)
-    with pytest.raises(FactorizationError, match="not proven prime"):
-        factorize(m)
+    assert sympy.factorint(m - 1) == {
+        2: 3, 5: 1, 11: 1, 17: 1, 12973: 1, 1821309023: 1, 56581485446137975519811: 1
+    }
+    assert factorize(m) == {m: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +451,14 @@ def test_snf_already_chained():
     m = ((2, 0), (0, 4))
     d, _ = smith_normal_form(m)
     assert d == m
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], []], ids=["ragged", "empty"])
+def test_snf_rejects_a_matrix_that_is_not_a_basis(matrix):
+    # the matrix is made into a LatticeBasis, which checks it is square and
+    # nonempty
+    with pytest.raises(ValueError, match="square and nonempty"):
+        smith_normal_form(matrix)
 
 
 def test_snf_singular_rejected():

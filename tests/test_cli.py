@@ -448,6 +448,13 @@ def test_prime_order_above_the_miller_rabin_bound_is_listed(capsys):
     assert (code, out) == (0, "Z10000000000000000000000013\n")
 
 
+def test_prime_order_whose_predecessor_needs_a_short_rho_is_listed(capsys):
+    # m - 1 leaves a composite cofactor above (10**6)**4 after trial
+    # division, which one short rho attempt splits for the Lucas test
+    code, out, _ = run(capsys, ["groups", "--order", str(10**40 + 121)])
+    assert (code, out) == (0, f"Z{10**40 + 121}\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
