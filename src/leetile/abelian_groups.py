@@ -24,9 +24,9 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import FactorizationError, SingularMatrixError
 
 GroupElement = tuple[int, ...]
@@ -34,6 +34,11 @@ GroupElement = tuple[int, ...]
 _TRIAL_BOUND = 10**6  # trial division limit; rho runs to the end on cofactors up to its 4th power
 _RHO_ATTEMPTS = 64  # Pollard rho polynomial constants tried per composite cofactor
 _SHORT_RHO_STEPS = 1 << 17  # length of the single rho attempt a larger cofactor gets
+# Largest cofactor that attempt is made on.  A step's cost grows with the
+# cofactor's size: the full attempt takes about 0.2 s at 2^128 and 0.4 s at
+# 2^256, and 22-26 s on the 3285-bit cofactor of 10^1000 + 1 (Python 3.11,
+# x86-64), so a larger composite cofactor is refused at once.
+_SHORT_RHO_MAX = 1 << 256
 
 # Miller-Rabin witness set, the first 13 primes: deterministic below about
 # 3.3e24 (see ``_is_prime``).  Without 41 it is only below about 3.19e23,
@@ -45,8 +50,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _LUCAS_BASES = 1000
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finite abelian group Z_{d1} x ... x Z_{dk} with d1 | d2 | ... | dk.
 
     The invariant factors are the canonical identity of the group: two
@@ -55,30 +59,32 @@ class AbelianGroup:
     Instances are immutable and safe to share.
     """
 
-    invariant_factors: tuple[int, ...]
+    _fields = ("invariant_factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __init__(self, invariant_factors: Iterable[int]):
+        factors = tuple(invariant_factors)
         for d in factors:
             if type(d) is not int or d < 2:
                 raise ValueError(f"invariant factor {d!r} is not an int >= 2 (drop trivial factors)")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {factors}")
-        # The index data, built once: plain attributes, not fields, so that
-        # ==, hash and repr see the invariant factors alone.  rank is the
-        # number of factors and order their product; strides[i] is the
-        # product of the factors after i, so g has lexicographic index
-        # sum(g_i * strides[i]); exponent is the last factor (1 for the
-        # trivial group).
+        # The index data, built once.  Only the invariant factors are a
+        # field, so ==, hash and repr see them alone.  rank is the number of
+        # factors and order their product; strides[i] is the product of the
+        # factors after i, so g has lexicographic index sum(g_i *
+        # strides[i]); exponent is the last factor (1 for the trivial group).
         order, strides = 1, []
         for d in reversed(factors):
             strides.append(order)
             order *= d
         strides.reverse()
-        vars(self).update(
-            rank=len(factors), order=order, strides=tuple(strides), exponent=factors[-1] if factors else 1
+        self.__dict__.update(
+            invariant_factors=factors,
+            rank=len(factors),
+            order=order,
+            strides=tuple(strides),
+            exponent=factors[-1] if factors else 1,
         )
 
     def identity(self) -> GroupElement:
@@ -277,11 +283,11 @@ def factorize(m: int) -> dict[int, int]:
     proven prime by the Lucas test, with m - 1 factored by this function.
     A composite cofactor of at most 10**24 is split by Pollard rho (its
     smallest prime factor is then at most 10**12, which rho digs out in
-    about 10**6 steps).  A larger one gets a single rho attempt of 2**17
-    steps, which usually splits off a prime factor below about 10**10.  A
-    cofactor that attempt does not split, and one the tests pass but cannot
-    prove prime, are rejected explicitly instead of factoring for an
-    unbounded time.
+    about 10**6 steps).  A larger one of at most 2**256 gets a single rho
+    attempt of 2**17 steps, which usually splits off a prime factor below
+    about 10**10.  A composite cofactor above 2**256, one that attempt does
+    not split, and one the tests pass but cannot prove prime, are rejected
+    explicitly instead of factoring for an unbounded time.
     """
     if type(m) is not int or m < 1:
         raise ValueError(f"cannot factor {m!r}: not an int >= 1")
@@ -300,16 +306,22 @@ def factorize(m: int) -> dict[int, int]:
         step = 6 - step
     if m == 1:
         return out
-    if p * p > m or _is_prime(m):
+    if p * p > m:
         out[m] = out.get(m, 0) + 1
         return out
-    # Composite cofactor with no factor below the trial bound.
+    # A cofactor with no factor below the trial bound: each piece is tested
+    # once, since on a huge one the test alone takes seconds.
     stack = [m]
     while stack:
         c = stack.pop()
         if _is_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
+        if c > _SHORT_RHO_MAX:
+            raise FactorizationError(
+                f"order too large to factor: a composite cofactor of {c.bit_length()} bits, "
+                f"above 2^{_SHORT_RHO_MAX.bit_length() - 1}"
+            )
         short = c > _TRIAL_BOUND**4  # one attempt of _SHORT_RHO_STEPS, then refused
         for attempt in range(1, 2 if short else _RHO_ATTEMPTS + 1):
             d = _pollard_rho(c, attempt, _SHORT_RHO_STEPS if short else None)
@@ -375,23 +387,22 @@ def enumerate_groups(order: int) -> list[AbelianGroup]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """An n x n integer matrix whose columns generate a sublattice of Z^n.
 
     Stored row-wise; ``column(j)`` reads generator j.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        rows = tuple(map(tuple, rows))
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("basis matrix must be square and nonempty")
         if any(type(v) is not int for r in rows for v in r):
             raise ValueError("basis entries must be ints")
+        self.__dict__.update(rows=rows)
 
     @property
     def n(self) -> int:

@@ -32,9 +32,8 @@ import json
 import reprlib
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import Record
 from .errors import LeeTileError
 from .search_engine import SearchOutcome, search_all
 
@@ -53,8 +52,7 @@ TABLE_RANGE = (3, 100)
 TABLE_OPEN_CASES = frozenset({16, 21, 36, 55, 64, 66, 78, 92})
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """One case of the proof tree.
 
     ``poly`` holds (a, b, c) for q(n) = a*n^2 + b*n + c; existence of a
@@ -67,25 +65,37 @@ class Branch:
     (n mod 3, n mod 5) pairs the branch covers.
     """
 
-    branch_id: str
-    description: str
-    case: Optional[str]
-    poly: tuple[int, int, int]
-    threshold: int
-    residues: tuple[tuple[int, int], ...]
-    note: Optional[str] = None
+    _fields = ("branch_id", "description", "case", "poly", "threshold", "residues", "note")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        branch_id: str,
+        description: str,
+        case: str | None,
+        poly: tuple[int, int, int],
+        threshold: int,
+        residues: tuple[tuple[int, int], ...],
+        note: str | None = None,
+    ):
         """Prove q(n) > 0 for every n > threshold, or raise ValueError.
 
         With t = threshold + 1: q(n + 1) - q(n) = 2an + a + b grows with n
         when a > 0, so if it is positive at t it is positive for all
         n >= t, and q(t) > 0 then carries to every n >= t.
         """
-        a, b, _ = self.poly
-        t = self.threshold + 1
+        self.__dict__.update(
+            branch_id=branch_id,
+            description=description,
+            case=case,
+            poly=poly,
+            threshold=threshold,
+            residues=residues,
+            note=note,
+        )
+        a, b, _ = poly
+        t = threshold + 1
         if not (a > 0 and self.evaluate(t) > 0 and 2 * a * t + a + b > 0):
-            raise ValueError(f"branch {self.branch_id}: q(n) > 0 does not follow for every n > {self.threshold}")
+            raise ValueError(f"branch {branch_id}: q(n) > 0 does not follow for every n > {threshold}")
 
     def evaluate(self, n: int) -> int:
         a, b, c = self.poly
@@ -199,18 +209,22 @@ def branch_for(n: int) -> Branch:
     return _BRANCH_BY_RESIDUES[n % 3, n % 5]
 
 
-@dataclass(frozen=True, slots=True)
-class NonexistenceCertificate:
+class NonexistenceCertificate(Record):
     """Machine-checkable verdict for one dimension.
 
-    Only ``n``, the justification and, for a search or witness
-    certificate, the search outcomes it was built from are stored; every
-    other field is derived from them.
+    Its fields are ``n``, the justification and, for a search or witness
+    certificate, the search outcomes it was built from; every other
+    attribute is a property derived from them.  The fields are slots, so
+    an instance holds no ``__dict__``.
     """
 
-    n: int
-    justification: str
-    search: Optional[tuple[SearchOutcome, ...]] = None
+    _fields = __slots__ = ("n", "justification", "search")
+
+    def __init__(self, n: int, justification: str, search: tuple[SearchOutcome, ...] | None = None):
+        _set = object.__setattr__
+        _set(self, "n", n)
+        _set(self, "justification", justification)
+        _set(self, "search", search)
 
     @property
     def residue_tags(self) -> tuple[int, int]:
@@ -221,7 +235,7 @@ class NonexistenceCertificate:
         return VERDICT_EXISTS if self.justification == JUSTIFICATION_WITNESS else VERDICT_NONEXISTENT
 
     @property
-    def _branch(self) -> Optional[Branch]:
+    def _branch(self) -> Branch | None:
         """The branch covering n; None for n = 1, 2."""
         return None if self.n < 3 else branch_for(self.n)
 
@@ -233,13 +247,13 @@ class NonexistenceCertificate:
     note = property(lambda self: getattr(self._branch, "note", None))
 
     @property
-    def evaluated_value(self) -> Optional[int]:
+    def evaluated_value(self) -> int | None:
         """q(n) where n lies above its branch threshold, else None."""
         branch = self._branch
         return branch.evaluate(self.n) if branch and self.n > branch.threshold else None
 
     @property
-    def witness(self) -> Optional[dict]:
+    def witness(self) -> dict | None:
         """The first solution of the stored search, which the search has
         passed through the verifier; None when it found none."""
         for o in self.search or ():
@@ -338,17 +352,17 @@ def certify(n: int, *, search_fallback: bool = False) -> NonexistenceCertificate
     raise LeeTileError(f"search fallback for n={n} did not certify (incomplete)")
 
 
-@dataclass(frozen=True)
-class CertificationSummary:
-    """The certificates for [lo, hi].  Only those at or below the top
-    branch threshold are stored, in ``low`` in increasing n: every n above
-    it has the inequality certificate, a function of n alone, so the
-    summary does no work per dimension there unless a caller asks for
-    ``certificates``."""
+class CertificationSummary(Record):
+    """The certificates for [lo, hi].  Its fields are lo, hi and ``low``,
+    the certificates at or below the top branch threshold in increasing n:
+    every n above it has the inequality certificate, a function of n
+    alone, so the summary does no work per dimension there unless a caller
+    asks for ``certificates``."""
 
-    lo: int
-    hi: int
-    low: tuple[NonexistenceCertificate, ...]
+    _fields = ("lo", "hi", "low")
+
+    def __init__(self, lo: int, hi: int, low: tuple[NonexistenceCertificate, ...]):
+        self.__dict__.update(lo=lo, hi=hi, low=low)
 
     @property
     def _above(self) -> range:

@@ -5,9 +5,11 @@ coordinate absolute values sum to at most r.  All sizes are computed with
 arbitrary-precision integers.
 """
 
+from __future__ import annotations
+
 import operator
+from collections.abc import Iterator
 from math import comb
-from typing import Any, Iterator
 
 LeeVector = tuple[int, ...]
 
@@ -22,7 +24,7 @@ def _check_sphere(n, r) -> None:
         raise ValueError(f"radius must be an int >= 0, got {r!r}")
 
 
-def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int], Any]]:
+def walk_sphere(n: int, r: int, steps, add, origin) -> Iterator[tuple[list[int], object]]:
     """Yield ``(point, value)`` for every integer point with
     coordinate-absolute-value sum <= r, in lexicographic order.
 

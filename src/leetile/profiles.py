@@ -21,25 +21,24 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import Record
 from .abelian_groups import AbelianGroup, GroupElement
 from .errors import RejectedCandidateError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(Record):
     """Histogram of coefficients of A^(k) * A over the whole group.
 
     ``histogram`` maps every coefficient value from 0 up to ``max_index``
     to its class size (possibly 0 in between).
     """
 
-    k: int
-    n: int
-    histogram: dict[int, int]
+    _fields = ("k", "n", "histogram")
+
+    def __init__(self, k: int, n: int, histogram: dict[int, int]):
+        self.__dict__.update(k=k, n=n, histogram=histogram)
 
     @property
     def max_index(self) -> int:
@@ -77,14 +76,14 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One evaluated identity: lhs <relation> rhs."""
+class IdentityCheck(Record):
+    """One evaluated identity: lhs <relation> rhs, where relation is "==",
+    ">=" or "within" and rhs is an int, or (lo, hi) for "within"."""
 
-    name: str
-    relation: str  # "==" or ">=" or "within"
-    lhs: int
-    rhs: object  # int, or (lo, hi) for "within"
+    _fields = ("name", "relation", "lhs", "rhs")
+
+    def __init__(self, name: str, relation: str, lhs: int, rhs: object):
+        self.__dict__.update(name=name, relation=relation, lhs=lhs, rhs=rhs)
 
     @property
     def passed(self) -> bool:
@@ -100,9 +99,11 @@ class IdentityCheck:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
+class IdentityReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[IdentityCheck, ...]):
+        self.__dict__.update(checks=checks)
 
     @property
     def all_passed(self) -> bool:
@@ -118,16 +119,17 @@ class IdentityReport:
         return {"checks": [c.to_dict() for c in self.checks], "all_passed": self.all_passed}
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Overlap correction solved out of the k = 4 counting identity.
 
     ``delta`` lies in [-2n, 0] on any verified candidate; ``delta_raw`` is
     the shifted value delta + 2n, a pair count in [0, 2n].
     """
 
-    n: int
-    delta: int
+    _fields = ("n", "delta")
+
+    def __init__(self, n: int, delta: int):
+        self.__dict__.update(n=n, delta=delta)
 
     @property
     def delta_raw(self) -> int:
@@ -137,15 +139,17 @@ class DeltaReport:
         return {"n": self.n, "delta": self.delta, "delta_raw": self.delta_raw}
 
 
-@dataclass(frozen=True)
-class PredictedProfile:
+class PredictedProfile(Record):
     """Closed-form class sizes forced by the mod-3 congruence (for n = 1, 2
     mod 3) or, for n = 0 mod 3, the forced sums of class sizes grouped by
     coefficient residue mod 3."""
 
-    n: int
-    histogram: Optional[dict[int, int]] = None
-    residue_class_sums: Optional[dict[int, int]] = None
+    _fields = ("n", "histogram", "residue_class_sums")
+
+    def __init__(
+        self, n: int, histogram: dict[int, int] | None = None, residue_class_sums: dict[int, int] | None = None
+    ):
+        self.__dict__.update(n=n, histogram=histogram, residue_class_sums=residue_class_sums)
 
     @property
     def is_closed_form(self) -> bool:

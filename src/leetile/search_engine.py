@@ -140,9 +140,8 @@ the pair, so memory follows the work done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import Record
 from .abelian_groups import AbelianGroup, GroupElement, enumerate_groups
 from .errors import LeeTileError
 from .tiling_core import TilingCandidate, check_conditions, radius2_group_order
@@ -158,19 +157,26 @@ _BUDGET_REQUIRED_FROM = 7  # combinatorial growth: demand an explicit cap
 _MAX_ORDER = 1 << 14
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Solutions found in one group, with the explored-node counter.
 
     ``exhausted`` is True exactly when the node budget was not hit, i.e.
     the reported solutions are provably all of them (up to automorphism
     reduction when enabled)."""
 
-    group: AbelianGroup
-    n: int
-    solutions: tuple[tuple[GroupElement, ...], ...]
-    nodes_explored: int
-    exhausted: bool
+    _fields = ("group", "n", "solutions", "nodes_explored", "exhausted")
+
+    def __init__(
+        self,
+        group: AbelianGroup,
+        n: int,
+        solutions: tuple[tuple[GroupElement, ...], ...],
+        nodes_explored: int,
+        exhausted: bool,
+    ):
+        self.__dict__.update(
+            group=group, n=n, solutions=solutions, nodes_explored=nodes_explored, exhausted=exhausted
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -228,7 +234,7 @@ def _check_dimension(n) -> None:
 
 
 def search_group(
-    group: AbelianGroup, n: int, *, use_automorphism_reduction: bool = True, node_budget: Optional[int] = None
+    group: AbelianGroup, n: int, *, use_automorphism_reduction: bool = True, node_budget: int | None = None
 ) -> SearchOutcome:
     """Every arm set over ``group`` passing the radius-2 verifier, up to
     unit-multiplication reduction when enabled and the group is cyclic.
@@ -422,7 +428,7 @@ def search_group(
 
 
 def search_all(
-    n: int, *, use_automorphism_reduction: bool = True, node_budget: Optional[int] = None
+    n: int, *, use_automorphism_reduction: bool = True, node_budget: int | None = None
 ) -> list[SearchOutcome]:
     """Run ``search_group`` over every isomorphism class of abelian groups
     of order 2n^2 + 2n + 1, one outcome per class in canonical group order."""

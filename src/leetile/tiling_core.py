@@ -21,10 +21,10 @@ basis vectors; the two verdicts agree on such bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import mul
-from typing import Optional
 
+from ._record import Record
 from .abelian_groups import AbelianGroup, GroupElement, LatticeBasis, quotient_map
 from .errors import ArmCollisionError, SingularMatrixError
 from .lee_geometry import sphere_size, walk_sphere
@@ -44,36 +44,32 @@ def radius2_group_order(n: int) -> int:
     return 2 * n * n + 2 * n + 1
 
 
-@dataclass(frozen=True)
-class TilingCandidate:
-    """A group plus a candidate arm set for the radius-2 algebraic test."""
+class TilingCandidate(Record):
+    """A group plus a candidate arm set for the radius-2 algebraic test.
+    The arms are kept sorted."""
 
-    group: AbelianGroup
-    n: int
-    arms: tuple[GroupElement, ...]
+    _fields = ("group", "n", "arms")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
-        arms = tuple(sorted(map(self.group.check_element, self.arms)))
+    def __init__(self, group: AbelianGroup, n: int, arms: Iterable[GroupElement]):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {n!r}")
+        arms = tuple(sorted(map(group.check_element, arms)))
         if len(set(arms)) != len(arms):
             raise ValueError("arm set contains duplicates")
-        object.__setattr__(self, "arms", arms)
+        self.__dict__.update(group=group, n=n, arms=arms)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of either verifier.  A rejection names the first failed
     condition and, where meaningful, a witness found in deterministic
     (sorted) scan order."""
 
-    accepted: bool
-    failed_condition: Optional[str] = None
-    witness: Optional[dict] = None
+    _fields = ("accepted", "failed_condition", "witness")
 
-    def __post_init__(self):
-        if not self.accepted and self.failed_condition is None:
+    def __init__(self, accepted: bool, failed_condition: str | None = None, witness: dict | None = None):
+        if not accepted and failed_condition is None:
             raise ValueError("a rejection must name the failed condition")
+        self.__dict__.update(accepted=accepted, failed_condition=failed_condition, witness=witness)
 
     @property
     def verdict(self) -> str:
@@ -91,7 +87,7 @@ def _accept() -> VerificationReport:
     return VerificationReport(accepted=True)
 
 
-def _reject(condition: str, witness: Optional[dict] = None) -> VerificationReport:
+def _reject(condition: str, witness: dict | None = None) -> VerificationReport:
     return VerificationReport(accepted=False, failed_condition=condition, witness=witness)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -92,7 +91,7 @@ def test_equality_hash_and_repr_see_the_factors_alone(factors):
     assert repr(g) == f"AbelianGroup(invariant_factors={factors!r})"
     assert g != AbelianGroup((7,) if factors != (7,) else (11,))
     for name in ("rank", "order", "strides", "exponent"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(g, name, getattr(g, name))
 
 
@@ -359,6 +358,20 @@ def test_factorize_explicit_rejection():
     # Composite cofactor above (10**6)**4 is rejected instead of factored.
     with pytest.raises(FactorizationError):
         factorize(p * q)
+
+
+def test_factorize_refuses_a_huge_composite_cofactor_without_rho(monkeypatch):
+    # 10**1000 + 1 leaves a 3285-bit composite cofactor after trial
+    # division: too large for even the short rho attempt, whose steps grow
+    # dearer with the cofactor's size.  The primality test runs on it once:
+    # on a cofactor four times as long, one Miller-Rabin base takes seconds.
+    tested = []
+    is_prime = abelian_groups._is_prime
+    monkeypatch.setattr(abelian_groups, "_is_prime", lambda m: tested.append(m) or is_prime(m))
+    monkeypatch.setattr(abelian_groups, "_pollard_rho", None)  # a call would raise
+    with pytest.raises(FactorizationError, match="3285 bits, above 2\\^256"):
+        factorize(10**1000 + 1)
+    assert len(tested) == 1 and tested[0].bit_length() == 3285
 
 
 def test_factorize_strong_pseudoprimes():
